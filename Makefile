@@ -14,8 +14,8 @@ BENCH_LABEL ?= after
 # benchmarks that exercise the whole stack, the observability
 # overhead pairs (disabled must track BenchmarkEndToEndMCCK; instrumented
 # documents the cost of full instrumentation, serial and 4-worker parallel),
-# and the negotiation sweep (queue depths, autoclusters on/off, and the
-# 10k-machine/100k-job sharded cycle over shard counts).
+# and the negotiation sweep (queue depths, plus the 10k-machine/100k-job
+# cycle in its steady state and with every host slot claimed).
 BENCH_RE = ^(BenchmarkKnapsack2D|BenchmarkClassAdMatch|BenchmarkSimEngine|BenchmarkEndToEndMCCK|BenchmarkTable2Makespan|BenchmarkObsOverhead|BenchmarkObsOverheadParallel|BenchmarkNegotiate|BenchmarkInsertPending)$$
 
 # The chaos gate's sweep width: seeds per (policy, profile) cell. The full
@@ -40,8 +40,8 @@ vet:
 # sim-path packages, no float equality in value comparisons, no
 # tie-producing sort.Slice in scheduling paths) plus the whole-program
 # rules over the type-checked module (dettaint: banned sources reachable
-# from sim-path entries through any call chain; shardsafe: Fanout workers
-# and lane callbacks write only owned state; pureselect: classad.Match and
+# from sim-path entries through any call chain; shardsafe: lane callbacks
+# write no package-level state and do no I/O; pureselect: classad.Match and
 # Policy Select implementations are observably pure). Legitimate sites
 # carry a per-line `//philint:ignore <rule> <reason>` annotation — for a
 # transitive finding, at the offending site or at the sim-path entry.

@@ -400,79 +400,77 @@ func BenchmarkKnapsackGreedyVsDP(b *testing.B) {
 }
 
 // BenchmarkNegotiate measures one isolated matchmaking cycle against a
-// prepared queue at several depths, with one machine ad churned per cycle so
-// the incremental autocluster path has real invalidation work to do (the
-// seven untouched machines answer from their per-cluster verdicts). The
+// prepared queue. The depth legs run 8 machines with one machine ad churned
+// per cycle, so the autocluster verdicts have real invalidation work to do
+// (the seven untouched machines answer from their cached verdicts). Their
 // queue holds unmatchable jobs, so the cycle is pure matchmaking — no claims
-// mutate the queue between iterations. The autoclusters=false sub-runs are
-// the legacy per-(job, machine) path for comparison.
+// mutate the queue between iterations.
+//
+// The two legs at 10,000 machines and 100,000 pending jobs anchor the scan
+// at scale. The steady-state leg is the depth legs' shape: seven
+// autoclusters, so a cycle builds seven candidate lists and every other job
+// reuses its cluster's (empty) list. The saturated leg claims every host
+// slot first (HostSlots 1, 10,000 dispatched jobs), so the cycle is the
+// early stop: no machine can take a job, and the queue stays pending
+// unvisited.
 func BenchmarkNegotiate(b *testing.B) {
-	for _, depth := range []int{16, 64, 256} {
-		for _, autoclusters := range []bool{true, false} {
-			b.Run(fmt.Sprintf("depth=%d/autoclusters=%v", depth, autoclusters), func(b *testing.B) {
-				eng := sim.New()
-				clu := cluster.New(eng, cluster.Config{Nodes: 8, Seed: 1})
-				pool := condor.NewPool(eng, clu, scheduler.NewExclusive(),
-					condor.Config{DisableAutoclusters: !autoclusters})
-				jobs := make([]*job.Job, depth)
-				for i := range jobs {
-					jobs[i] = &job.Job{
-						ID: i, Name: "bench", Workload: "bench",
-						// More memory than any device: never matches, so the
-						// queue is identical for every measured cycle.
-						Mem:     100_000 + units.MB(i%7)*50,
-						Threads: units.Threads(16 + (i%15)*16),
-					}
-					jobs[i].Phases = []job.Phase{{Kind: job.HostPhase, Duration: units.Second}}
-				}
-				pool.Submit(jobs)
-				machines := pool.Machines()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					m := machines[i%len(machines)]
-					m.Ad.SetInt(condor.AttrPhiFreeMemory, int64(4000+i%97))
-					pool.NegotiateOnce()
-				}
-			})
+	unmatchable := func(n int) []*job.Job {
+		jobs := make([]*job.Job, n)
+		for i := range jobs {
+			jobs[i] = &job.Job{
+				ID: i, Name: "bench", Workload: "bench",
+				// More memory than any device: never matches, so the
+				// queue is identical for every measured cycle.
+				Mem:     100_000 + units.MB(i%7)*50,
+				Threads: units.Threads(16 + (i%15)*16),
+			}
+			jobs[i].Phases = []job.Phase{{Kind: job.HostPhase, Duration: units.Second}}
+		}
+		return jobs
+	}
+	churned := func(b *testing.B, nodes, depth int) {
+		eng := sim.New()
+		clu := cluster.New(eng, cluster.Config{Nodes: nodes, Seed: 1})
+		pool := condor.NewPool(eng, clu, scheduler.NewExclusive(), condor.Config{})
+		pool.Submit(unmatchable(depth))
+		machines := pool.Machines()
+		// Prime one cycle so the measured iterations see the steady-state
+		// verdict caches, not the cold-start evaluation.
+		pool.NegotiateOnce()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			m := machines[i%len(machines)]
+			m.Ad.SetInt(condor.AttrPhiFreeMemory, int64(4000+i%97))
+			pool.NegotiateOnce()
 		}
 	}
-	// Sharded scan at the ROADMAP's 10k-node / 100k-job scale: one
-	// steady-state matchmaking cycle, shard counts 1/2/4/8. The slot
-	// collapse means the scan walks (cycle slots × machines), not (jobs ×
-	// machines), and the shards split the machine dimension across
-	// sim.Engine.Fanout workers — so on a multi-core host the cycle time
-	// drops near-linearly in the shard count until the serial pre-pass and
-	// commit phases dominate. On a single-core host the shard counts tie
-	// (Fanout runs inline); the sub-benchmarks still pin the absolute cycle
-	// cost at scale.
-	for _, shards := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("pool=10000/jobs=100000/shards=%d", shards), func(b *testing.B) {
-			eng := sim.New()
-			clu := cluster.New(eng, cluster.Config{Nodes: 10_000, Seed: 1})
-			pool := condor.NewPool(eng, clu, scheduler.NewExclusive(),
-				condor.Config{NegotiationShards: shards})
-			jobs := make([]*job.Job, 100_000)
-			for i := range jobs {
-				jobs[i] = &job.Job{
-					ID: i, Name: "bench", Workload: "bench",
-					Mem:     100_000 + units.MB(i%7)*50,
-					Threads: units.Threads(16 + (i%15)*16),
-				}
-				jobs[i].Phases = []job.Phase{{Kind: job.HostPhase, Duration: units.Second}}
-			}
-			pool.Submit(jobs)
-			machines := pool.Machines()
-			// Prime one cycle so the measured iterations see the
-			// steady-state verdict caches, not the cold-start evaluation.
-			pool.NegotiateOnce()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				m := machines[i%len(machines)]
-				m.Ad.SetInt(condor.AttrPhiFreeMemory, int64(4000+i%97))
-				pool.NegotiateOnce()
-			}
-		})
+	for _, depth := range []int{16, 64, 256} {
+		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) { churned(b, 8, depth) })
 	}
+	b.Run("pool=10000/jobs=100000", func(b *testing.B) { churned(b, 10_000, 100_000) })
+	b.Run("pool=10000/jobs=100000/saturated", func(b *testing.B) {
+		const nodes = 10_000
+		eng := sim.New()
+		clu := cluster.New(eng, cluster.Config{Nodes: nodes, Seed: 1})
+		pool := condor.NewPool(eng, clu, scheduler.NewExclusive(), condor.Config{HostSlots: 1})
+		jobs := make([]*job.Job, nodes+100_000)
+		for i := range jobs {
+			jobs[i] = &job.Job{ID: i, Name: "bench", Workload: "bench", Mem: 1000, Threads: 16}
+			jobs[i].Phases = []job.Phase{{Kind: job.HostPhase, Duration: units.Second}}
+		}
+		// The first cycle fills every slot; the engine never runs, so the
+		// claims hold and the remaining 100k jobs stay pending.
+		pool.Submit(jobs[:nodes])
+		pool.NegotiateOnce()
+		if pool.InFlight() != nodes {
+			b.Fatalf("%d of %d slots claimed", pool.InFlight(), nodes)
+		}
+		pool.Submit(jobs[nodes:])
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			pool.NegotiateOnce()
+		}
+	})
 }
 
 // BenchmarkInsertPending measures the pending-queue insert on its worst

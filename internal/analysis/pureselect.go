@@ -3,15 +3,18 @@ package analysis
 // PureSelect is the whole-program purity rule for the two function families
 // whose contracts demand observable purity:
 //
-//   - classad.Match: evaluated concurrently by the sharded negotiator's scan
-//     workers (internal/condor/shard.go), so any observable effect — an
-//     escaping write, I/O, a nondeterminism source — is a data race or a
-//     replay divergence waiting to happen. Match is held strictly pure.
+//   - classad.Match: the negotiator memoizes its verdicts per autocluster
+//     and per cycle (internal/condor), so one evaluation stands in for
+//     every job of the cluster and every later cycle the machine ad holds.
+//     Any observable effect — an escaping write, I/O, a nondeterminism
+//     source — would run once where the raw reference scan runs it many
+//     times, a replay divergence waiting to happen. Match is held strictly
+//     pure.
 //
 //   - every implementation of a module interface with a Select method (the
-//     Policy family): the sharded negotiator's equivalence proof rests on
-//     Select being a function of (arguments, policy RNG stream) alone, so
-//     the serial commit phase replays the exact serial decision sequence.
+//     Policy family): the negotiator's equivalence to its raw reference
+//     scan rests on Select being a function of (arguments, policy RNG
+//     stream) alone, so both scans replay the same decision sequence.
 //     Select implementations may draw from internal/rng — the seeded stream
 //     IS part of their replayed input, and its state advance is canonical —
 //     so effects originating in internal/rng are exempt. Everything else
@@ -62,7 +65,7 @@ func runPureSelect(p *ModulePass) {
 
 	for _, fi := range p.Mod.Funcs {
 		if fi.Fn.FullName() == ModulePath+"/internal/classad.Match" {
-			add(pureTarget{fi: fi, why: "classad.Match runs concurrently on shard workers"})
+			add(pureTarget{fi: fi, why: "classad.Match verdicts are memoized per autocluster"})
 		}
 	}
 	for _, fi := range selectImpls(p.Graph) {

@@ -19,7 +19,7 @@ import (
 
 // ModulePath is the import-path prefix of this module's packages, matching
 // the module directive in go.mod. Fixture modules reuse it so rules keyed
-// on well-known paths (phishare/internal/sim.Engine.Fanout, classad.Match)
+// on well-known paths (phishare/internal/sim.Lane.At, classad.Match)
 // resolve against stub packages in tests.
 const ModulePath = "phishare"
 

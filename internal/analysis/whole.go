@@ -145,7 +145,7 @@ func LintAll(pkgs []*Package, analyzers []*Analyzer, whole []*WholeAnalyzer) []F
 }
 
 // funcDisplayName renders a function for messages: "core.Schedule",
-// "condor.(*Pool).negotiateSharded".
+// "condor.(*Pool).negotiate".
 func funcDisplayName(fi *FuncInfo) string {
 	base := fi.Pkg.Rel
 	if i := strings.LastIndex(base, "/"); i >= 0 {

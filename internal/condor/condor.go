@@ -17,7 +17,6 @@ package condor
 import (
 	"fmt"
 	"sort"
-	"strconv"
 	"strings"
 
 	"phishare/internal/classad"
@@ -142,14 +141,12 @@ type Machine struct {
 	// acVals memoizes Match verdicts against this machine per autocluster,
 	// indexed by acID − Pool.acBase (a dense array beats a hashed map on
 	// the negotiation hot path). Truncated whenever the signature table is
-	// wholesale cleared; see Pool.autoclusterOf. During a sharded scan the
-	// array is written only by the machine's own shard worker
-	// (machine-exclusive state), which is what lets shards share it safely.
+	// wholesale cleared; see Pool.autoclusterOf.
 	acVals []acVal
-	// claimGen stamps the negotiation cycle (Pool.cacheGen) whose commit
-	// phase last claimed this machine. The sharded commit re-validates a
-	// snapshot candidate against its live ad iff it carries the current
-	// cycle's stamp — any other machine's ad is untouched since the scan.
+	// claimGen stamps the negotiation cycle (Pool.cacheGen) that last
+	// claimed this machine. The scan re-validates a memoized candidate
+	// against its live ad iff it carries the current cycle's stamp — any
+	// other machine's ad is untouched since the memo was built.
 	claimGen uint64
 }
 
@@ -195,6 +192,15 @@ type Policy interface {
 	// MachineRequirements is the Requirements expression installed on every
 	// machine ad — the node-side admission guard. Return "true" for an
 	// oversubscription-agnostic cluster (the §III strawman).
+	//
+	// The negotiator assumes matchmaking is monotone under claims: a claim
+	// can only shrink the set of jobs a machine matches. Both this
+	// expression and the job Requirements the policy installs must respect
+	// it. Every shipped policy does — a claim only consumes free memory,
+	// devices, threads and slots. The scan builds each autocluster's
+	// candidate list once per cycle and afterwards only drops machines from
+	// it, so a machine that began matching a job *because* of a claim
+	// would be missed until the next cycle.
 	MachineRequirements() string
 	// PrepareJobAd populates a job's ad (including its initial
 	// Requirements) at submission time.
@@ -204,7 +210,9 @@ type Policy interface {
 	// one batch of qedits.
 	PreNegotiation(p *Pool)
 	// Select chooses among machines whose ads matched the job; return -1
-	// to leave the job idle this cycle. candidates is non-empty.
+	// to leave the job idle this cycle. candidates is non-empty, in machine
+	// order, and owned by the pool: Select must neither modify nor retain
+	// it.
 	Select(p *Pool, q *QueuedJob, candidates []*Machine) int
 	// PostNegotiation runs after matchmaking, for policies that want to
 	// observe the cycle's outcome.
@@ -252,44 +260,14 @@ type Config struct {
 	// servers have two 8-core host Xeons; an offload job keeps roughly a
 	// socket busy, so the default is 4 slots per device. Default 4.
 	HostSlots int
-	// DisableMatchCache forces every matchmaking pair through the full
-	// classad.Match expression evaluation instead of the ad-version match
-	// cache. The cached and uncached negotiators are semantically identical
-	// (the cache keys on both ads' mutation counters, so a stale entry is
-	// impossible); the flag exists so the determinism regression can prove
-	// that by running the full stack both ways. It also disables
-	// autoclusters, which are a grouping layer over the same cache.
+	// DisableMatchCache runs the reference negotiator: every pending job is
+	// evaluated against every machine with a raw classad.Match, with no
+	// autoclusters, no verdict cache, no per-cycle candidate memo, no early
+	// stop, no dirty-cycle short-circuit and no qedit identity elision. The
+	// optimized and reference negotiators are semantically identical; the
+	// flag exists so the equivalence gates can prove that by running the
+	// full stack both ways.
 	DisableMatchCache bool
-	// DisableAutoclusters routes matchmaking through the legacy
-	// per-(machine, job) cache and disables the dirty-cycle short-circuit
-	// and qedit identity elision, i.e. the negotiator behaves exactly as it
-	// did before autocluster grouping. Like DisableMatchCache, it exists so
-	// the equivalence regression (and the chaos swarm's diff mode) can prove
-	// the grouped and ungrouped negotiators produce bit-identical outcomes.
-	DisableAutoclusters bool
-	// NegotiationShards partitions the machine inventory into this many
-	// contiguous shards and runs each negotiation cycle's matchmaking scan
-	// concurrently — one shard per worker, between sim event barriers
-	// (sim.Engine.Fanout) — against the cycle-start resource snapshot.
-	// Claims are then committed serially in canonical (priority, arrival)
-	// job order with candidates assembled in (shard, machine) order, and any
-	// machine a commit-phase claim dirtied is re-validated against its live
-	// ad before being offered again, so sharded and unsharded outcomes are
-	// bit-identical (TestShardedNegotiationBitIdentical).
-	//
-	// The equivalence holds for any policy whose machine Requirements are
-	// monotone under claims (a claim can only shrink the set of jobs a
-	// machine matches — true of every shipped policy: claims only consume
-	// free memory, devices, threads and slots). A policy whose machine ads
-	// could start matching a job *because* of a claim would need the serial
-	// scan.
-	//
-	// 0 (the default) keeps the serial scan; 1 exercises the sharded path on
-	// a single shard (for equivalence tests); K > 1 is clamped to the
-	// machine count. Sharding rides the autocluster snapshot, so
-	// DisableMatchCache or DisableAutoclusters force the serial scan
-	// regardless.
-	NegotiationShards int
 }
 
 // Lookahead returns the smallest delay by which node-confined activity can
@@ -376,16 +354,8 @@ type Pool struct {
 	// does not rescan the whole inventory every cycle tail.
 	offline int
 
-	// matchCache memoizes classad.Match per (machine, job) pair, keyed by
-	// both ads' mutation counters. It is the legacy (DisableAutoclusters)
-	// cache; the autocluster path below replaces the per-job key with a
-	// per-equivalence-class one. Entries carry the generation of the cycle
-	// that last touched them; sweepCaches evicts cold generations once the
-	// map outgrows its watermark, replacing the old per-terminal-job
-	// eviction scan.
-	matchCache map[matchKey]matchVal
-	// candScratch is the candidates slice reused across every pending job
-	// of every cycle (it was re-grown from nil per job before).
+	// candScratch is the reference scan's candidates slice, reused across
+	// every pending job of every cycle.
 	candScratch []*Machine
 
 	// Autocluster matchmaking (HTCondor's autoclusters): pending jobs whose
@@ -416,13 +386,9 @@ type Pool struct {
 	acIDs    map[string]int
 	acNext   int
 	acBase   int
-	// acSeen stamps autocluster ids seen during the current cycle's scan
-	// (value: cacheGen) so the observability gauge can report how many
-	// distinct clusters the pending queue collapsed into.
-	acSeen map[int]uint64
 
 	// Dirty-cycle tracking: cacheGen counts full (non-skipped) negotiation
-	// cycles and stamps cache entries for eviction; dirty is set by every
+	// cycles and stamps the machines each cycle claims; dirty is set by every
 	// event that could change a future cycle's outcome (submission, qedit
 	// mutation, claim, release, offline toggle); lastNoOp records that the
 	// previous full cycle matched nothing, invoked no policy Select, and
@@ -434,20 +400,13 @@ type Pool struct {
 	qeditMuts  int // cumulative qedits that actually mutated an ad
 	selectCall int // policy.Select invocations in the current cycle
 
-	// Sharded negotiation state (Config.NegotiationShards; see shard.go).
-	// shards is the fixed contiguous machine partition (nil when the serial
-	// scan is in use) and shardRanges its public [lo, hi) view; the rest is
-	// per-cycle scratch reused across cycles: jobSlots maps each pending
-	// index to its cycle-local autocluster slot, cycleACs/slotJobs list the
-	// distinct autoclusters in first-appearance order with a representative
-	// job each, and slotOf is the dense acID−acBase → slot+1 table (entries
-	// are zeroed again at cycle end, so only touched slots cost anything).
-	shards      []negShard
-	shardRanges [][2]int
-	jobSlots    []int32
-	cycleACs    []int
-	slotJobs    []*QueuedJob
-	slotOf      []int32
+	// Per-cycle scan scratch, reused across cycles (see scan): slots holds
+	// the autoclusters met this cycle in first-appearance order, each with
+	// its memoized candidate list, and slotOf is the dense table from
+	// acID − (acBase at cycle start) to slot+1. Touched slotOf entries are
+	// zeroed again at cycle end, so only they cost anything.
+	slots  []acSlot
+	slotOf []int32
 
 	// usage accumulates per-user device time (claim duration) for
 	// fair-share ordering.
@@ -495,25 +454,6 @@ type Pool struct {
 	obsCycleGap   *obs.Histogram
 	lastNegAt     units.Tick
 	hasNegotiated bool
-	// Per-shard cycle metrics (sharded negotiation): one labeled counter
-	// pair per shard, bumped serially after the scan workers join so the
-	// workers themselves never touch shared instruments.
-	obsShardEvals []*obs.Counter
-	obsShardCands []*obs.Counter
-}
-
-// matchKey identifies one matchmaking pair for the legacy match cache.
-type matchKey struct {
-	m *Machine
-	q *QueuedJob
-}
-
-// matchVal is a memoized Match result, valid while both ads' versions hold.
-// gen is the cycle generation that last touched the entry (for eviction).
-type matchVal struct {
-	mv, jv uint64
-	ok     bool
-	gen    uint64
 }
 
 // acVal is a memoized Match result for every job in an autocluster, valid
@@ -526,6 +466,14 @@ type acVal struct {
 
 // acTableCap bounds the signature intern table; see the acIDs field comment.
 const acTableCap = 4096
+
+// acSlot is one autocluster met during the current cycle's scan: idx is
+// its acID − (acBase at cycle start), and cands its live candidate
+// machines in machine order.
+type acSlot struct {
+	idx   int
+	cands []*Machine
+}
 
 // autoclusterOf returns q's autocluster id, signing the ad only when its
 // version moved since the last call (the common case — an unchanged pending
@@ -556,41 +504,14 @@ func (p *Pool) autoclusterOf(q *QueuedJob) int {
 	return id
 }
 
-// match is the cached equivalent of classad.Match(m.Ad, q.Ad), dispatching
-// to whichever cache the configuration selects.
+// match is the cached equivalent of classad.Match(m.Ad, q.Ad).
 func (p *Pool) match(m *Machine, q *QueuedJob) bool {
-	switch {
-	case p.cfg.DisableMatchCache:
+	if p.cfg.DisableMatchCache {
 		// No cache, no cache counters: the observability test asserts every
 		// cache series stays zero in this configuration.
 		return classad.Match(m.Ad, q.Ad)
-	case p.cfg.DisableAutoclusters:
-		return p.matchLegacy(m, q)
-	default:
-		return p.matchCluster(m, q, p.autoclusterOf(q))
 	}
-}
-
-// matchLegacy is the pre-autocluster per-(machine, job) cache path.
-func (p *Pool) matchLegacy(m *Machine, q *QueuedJob) bool {
-	k := matchKey{m, q}
-	mv, jv := m.Ad.Version(), q.Ad.Version()
-	if v, hit := p.matchCache[k]; hit {
-		if v.mv == mv && v.jv == jv {
-			if v.gen != p.cacheGen {
-				v.gen = p.cacheGen
-				p.matchCache[k] = v
-			}
-			p.obsCacheHit.Inc()
-			return v.ok
-		}
-		p.obsCacheInv.Inc() // present but stale: an ad mutated since caching
-	} else {
-		p.obsCacheMiss.Inc()
-	}
-	ok := classad.Match(m.Ad, q.Ad)
-	p.matchCache[k] = matchVal{mv: mv, jv: jv, ok: ok, gen: p.cacheGen}
-	return ok
+	return p.matchCluster(m, q, p.autoclusterOf(q))
 }
 
 // matchCluster consults the autocluster cache: one Match evaluation serves
@@ -618,32 +539,11 @@ func (p *Pool) matchCluster(m *Machine, q *QueuedJob, ac int) bool {
 	return ok
 }
 
-// cacheKeepGens is how many full cycles an untouched cache entry survives
-// once its map is over the sweep watermark.
-const cacheKeepGens = 4
-
-// sweepCaches evicts match-cache entries not touched for cacheKeepGens full
-// cycles, but only once a map outgrows a watermark proportional to the live
-// pair population — the steady state never pays the sweep. This replaces the
-// old per-terminal-job eviction scan (O(machines) deletes per completion)
-// and, unlike it, also bounds entries for jobs that leave the pending set by
-// matching.
-func (p *Pool) sweepCaches() {
-	live := len(p.pending) + p.inFlight + 1
-	if limit := 64 + 4*len(p.machines)*live; len(p.matchCache) > limit {
-		for k, v := range p.matchCache { //philint:ignore mapiter eviction is keyed on per-entry state only, so iteration order cannot change the surviving set
-			if v.gen+cacheKeepGens <= p.cacheGen {
-				delete(p.matchCache, k)
-			}
-		}
-	}
-}
-
 // MatchCacheLen reports the total number of memoized match results across
-// both caches (the legacy per-pair map plus every machine's autocluster
-// verdict array), for cache-growth regression tests.
+// every machine's autocluster verdict array, for cache-growth regression
+// tests.
 func (p *Pool) MatchCacheLen() int {
-	n := len(p.matchCache)
+	n := 0
 	for _, m := range p.machines {
 		n += len(m.acVals)
 	}
@@ -657,12 +557,10 @@ func (p *Pool) AutoclusterCount() int { return len(p.acIDs) }
 // NewPool builds a pool over the cluster with the given policy.
 func NewPool(eng *sim.Engine, clu *cluster.Cluster, policy Policy, cfg Config) *Pool {
 	p := &Pool{eng: eng, clu: clu, cfg: cfg.withDefaults(), policy: policy,
-		usage:      map[string]units.Tick{},
-		matchCache: map[matchKey]matchVal{},
-		acIDs:      map[string]int{},
-		acSeen:     map[int]uint64{},
-		signer:     classad.NewSigner(),
-		dirty:      true}
+		usage:  map[string]units.Tick{},
+		acIDs:  map[string]int{},
+		signer: classad.NewSigner(),
+		dirty:  true}
 	for _, unit := range clu.Units {
 		m := &Machine{
 			Name:      unit.SlotName,
@@ -694,7 +592,6 @@ func NewPool(eng *sim.Engine, clu *cluster.Cluster, policy Policy, cfg Config) *
 		p.sigRoots = append(p.sigRoots, r)
 	}
 	sort.Strings(p.sigRoots)
-	p.planShards()
 	return p
 }
 
@@ -714,15 +611,6 @@ func (p *Pool) SetObserver(o *obs.Observer) {
 	p.obsAutoclu = o.Gauge("condor_autoclusters_pending")
 	p.obsCycleGap = o.Histogram("condor_negotiation_gap_seconds",
 		[]float64{1, 2, 5, 10, 20, 30, 60, 120})
-	p.obsShardEvals = p.obsShardEvals[:0]
-	p.obsShardCands = p.obsShardCands[:0]
-	for k := range p.shards {
-		id := strconv.Itoa(k)
-		p.obsShardEvals = append(p.obsShardEvals,
-			o.Counter("condor_shard_match_evals_total", "shard", id))
-		p.obsShardCands = append(p.obsShardCands,
-			o.Counter("condor_shard_candidates_total", "shard", id))
-	}
 }
 
 // Machines exposes the machine inventory (fixed order).
@@ -792,9 +680,9 @@ func (p *Pool) SubmitAs(user string, jobs []*job.Job, priority int) {
 // insertPending keeps the pending queue ordered by (priority desc, arrival)
 // so the FIFO scan of negotiate respects priorities. The insertion point is
 // found by binary search — the old backward linear compare walk was O(n) per
-// insert, O(n²) to build the 100k-job queues the sharded negotiator targets
-// (the tail shift itself is a single memmove either way; see
-// BenchmarkInsertPending and TestInsertPendingMatchesLinearScan).
+// insert, O(n²) to build 100k-job queues (the tail shift itself is a single
+// memmove either way; see BenchmarkInsertPending and
+// TestInsertPendingMatchesLinearScan).
 func (p *Pool) insertPending(q *QueuedJob) {
 	p.dirty = true
 	i := sort.Search(len(p.pending), func(k int) bool {
@@ -817,7 +705,7 @@ func (p *Pool) Qedit(q *QueuedJob, requirements string) {
 		p.obs.Emit(p.eng.Now(), obs.LayerCondor, "qedit",
 			obs.F("job", q.Job.ID), obs.F("requirements", requirements))
 	}
-	if !p.cfg.DisableAutoclusters &&
+	if !p.cfg.DisableMatchCache &&
 		q.qeditVer == q.Ad.Version() && q.qeditStr == requirements {
 		// The ad already holds exactly this expression (MCCK re-pins the
 		// same plan every steady-state cycle). Matchmaking cannot tell the
@@ -896,8 +784,7 @@ func (p *Pool) negotiate() {
 			obs.F("in_flight", p.inFlight))
 	}
 
-	if !p.cfg.DisableAutoclusters && !p.cfg.DisableMatchCache &&
-		!p.dirty && p.lastNoOp {
+	if !p.cfg.DisableMatchCache && !p.dirty && p.lastNoOp {
 		// Nothing relevant changed since a full cycle that matched nothing,
 		// called no policy Select (so no policy RNG draw can be owed), and
 		// mutated no ad: re-running the scan would reproduce that no-op bit
@@ -929,10 +816,10 @@ func (p *Pool) negotiate() {
 	}
 
 	var matched int
-	if len(p.shards) > 0 {
-		matched = p.negotiateSharded()
+	if p.cfg.DisableMatchCache {
+		matched = p.scanReference()
 	} else {
-		matched = p.scanSerial()
+		matched = p.scan()
 	}
 	p.stats.Matches += matched
 
@@ -943,7 +830,6 @@ func (p *Pool) negotiate() {
 	// (submission, completion, fault, qedit) can.
 	p.lastNoOp = matched == 0 && p.selectCall == 0 && p.qeditMuts == qedits0
 	p.dirty = false
-	p.sweepCaches()
 
 	if p.obs != nil {
 		p.obs.Emit(p.eng.Now(), obs.LayerCondor, "negotiation_end",
@@ -955,73 +841,143 @@ func (p *Pool) negotiate() {
 	p.finishCycle(matched)
 }
 
-// scanSerial is the classic single-threaded matchmaking scan: for each
-// pending job in order, evaluate every machine's live ad and hand the
-// matches to the policy. It remains the only path when sharding is off and
-// the reference path for the cache-disabled replay configurations.
-func (p *Pool) scanSerial() (matched int) {
-	autoclusters := !p.cfg.DisableMatchCache && !p.cfg.DisableAutoclusters
-	countClusters := autoclusters && p.obs != nil
-	if countClusters {
-		clear(p.acSeen)
+// scan is the negotiator's matchmaking pass. It walks the pending queue in
+// its canonical order — (priority, arrival), or the fair-share order — and
+// offers each job exactly the candidate list the raw job × machine scan
+// (scanReference) would, at a cost that follows the work done rather than
+// the queue depth:
+//
+//   - Jobs of one autocluster match the same machines. The first job of a
+//     cluster met this cycle builds the cluster's candidate list against
+//     live state (online, a free host slot, matchCluster) in machine order;
+//     later jobs of the cluster reuse it. Only claims change a machine ad
+//     mid-cycle, and under the monotonicity contract
+//     (Policy.MachineRequirements) a claim can only remove matches, so a
+//     later job re-validates just the machines this cycle claimed (claimGen)
+//     and drops those that no longer fit. A cluster whose list has emptied
+//     costs its later jobs one length check.
+//   - Once no online machine has a free host slot, every later job's list
+//     would be empty, so the rest of the queue stays pending unvisited.
+//
+// Select is only ever called on a non-empty list, so neither shortcut moves
+// a Select call, a policy RNG draw, a claim or a record.
+func (p *Pool) scan() (matched int) {
+	free := 0 // online machines with a free host slot
+	for _, m := range p.machines {
+		if !m.Offline && !m.AtCapacity() {
+			free++
+		}
 	}
-	clusters := 0
+	// Slots index by id − base with base fixed for the cycle: an era reset
+	// mid-scan (autoclusterOf) only issues ids above every id already met,
+	// so the table stays collision-free.
+	base := p.acBase
+	p.slots = p.slots[:0]
 	still := p.pending[:0] // in-place filter: write index trails read index
-	if cap(p.candScratch) < len(p.machines) {
-		p.candScratch = make([]*Machine, 0, len(p.machines))
-	}
-	for _, q := range p.pending {
-		ac := -1
-		if autoclusters {
-			ac = p.autoclusterOf(q)
-			if countClusters {
-				if p.acSeen[ac] != p.cacheGen {
-					p.acSeen[ac] = p.cacheGen
-					clusters++
+	i := 0
+	for ; i < len(p.pending) && free > 0; i++ {
+		q := p.pending[i]
+		ac := p.autoclusterOf(q)
+		idx := ac - base
+		if idx >= len(p.slotOf) {
+			p.slotOf = append(p.slotOf, make([]int32, idx+1-len(p.slotOf))...)
+		}
+		var sl *acSlot
+		if s := p.slotOf[idx]; s != 0 {
+			sl = &p.slots[s-1]
+			cands := sl.cands[:0]
+			for _, m := range sl.cands {
+				if m.claimGen == p.cacheGen && (m.AtCapacity() || !p.matchCluster(m, q, ac)) {
+					continue
+				}
+				cands = append(cands, m)
+			}
+			sl.cands = cands
+		} else {
+			if n := len(p.slots); n < cap(p.slots) {
+				p.slots = p.slots[:n+1]
+			} else {
+				p.slots = append(p.slots, acSlot{})
+			}
+			p.slotOf[idx] = int32(len(p.slots))
+			sl = &p.slots[len(p.slots)-1]
+			sl.idx = idx
+			cands := sl.cands[:0]
+			for _, m := range p.machines {
+				// A machine with no free host slot cannot accept any job,
+				// whatever the ads say: the starter has nowhere to run. An
+				// offline machine's startd is not advertising at all.
+				if !m.Offline && !m.AtCapacity() && p.matchCluster(m, q, ac) {
+					cands = append(cands, m)
 				}
 			}
+			sl.cands = cands
 		}
-		candidates := p.candScratch[:0]
-		for _, m := range p.machines {
-			// A machine with no free host slot cannot accept any job,
-			// whatever the ads say: the starter has nowhere to run. An
-			// offline machine's startd is not advertising at all.
-			if m.Offline || m.AtCapacity() {
-				continue
-			}
-			ok := false
-			switch {
-			case ac >= 0:
-				ok = p.matchCluster(m, q, ac)
-			case p.cfg.DisableMatchCache:
-				ok = classad.Match(m.Ad, q.Ad)
-			default:
-				ok = p.matchLegacy(m, q)
-			}
-			if ok {
-				candidates = append(candidates, m)
-			}
-		}
-		idx := -1
-		if len(candidates) > 0 {
-			p.selectCall++
-			idx = p.policy.Select(p, q, candidates)
-		}
-		if idx < 0 || idx >= len(candidates) {
+		m := p.offer(q, sl.cands)
+		if m == nil {
 			still = append(still, q)
 			continue
 		}
-		p.claim(q, candidates[idx])
+		matched++
+		if m.AtCapacity() {
+			free--
+		}
+	}
+	p.keepPending(append(still, p.pending[i:]...))
+	for _, sl := range p.slots {
+		p.slotOf[sl.idx] = 0
+	}
+	p.obsAutoclu.Set(float64(len(p.slots)))
+	return matched
+}
+
+// scanReference is the raw matchmaking scan DisableMatchCache runs, and
+// the oracle the equivalence gates hold scan to: every pending job in
+// order against every online machine with a free host slot, one
+// classad.Match per pair.
+func (p *Pool) scanReference() (matched int) {
+	still := p.pending[:0]
+	for _, q := range p.pending {
+		cands := p.candScratch[:0]
+		for _, m := range p.machines {
+			if !m.Offline && !m.AtCapacity() && classad.Match(m.Ad, q.Ad) {
+				cands = append(cands, m)
+			}
+		}
+		p.candScratch = cands
+		if p.offer(q, cands) == nil {
+			still = append(still, q)
+			continue
+		}
 		matched++
 	}
+	p.keepPending(still)
+	return matched
+}
+
+// offer hands q's candidate list to the policy and claims the machine it
+// picks, returning it; nil (an empty list, or a policy that declines)
+// leaves q pending. The policy is consulted only on a non-empty list.
+func (p *Pool) offer(q *QueuedJob, cands []*Machine) *Machine {
+	if len(cands) == 0 {
+		return nil
+	}
+	p.selectCall++
+	idx := p.policy.Select(p, q, cands)
+	if idx < 0 || idx >= len(cands) {
+		return nil
+	}
+	p.claim(q, cands[idx])
+	return cands[idx]
+}
+
+// keepPending installs a scan's in-place filtered queue, dropping the
+// matched jobs' references past its new length.
+func (p *Pool) keepPending(still []*QueuedJob) {
 	for i := len(still); i < len(p.pending); i++ {
-		p.pending[i] = nil // drop matched-job references past the new length
+		p.pending[i] = nil
 	}
 	p.pending = still
-	if countClusters {
-		p.obsAutoclu.Set(float64(clusters))
-	}
-	return matched
 }
 
 // finishCycle is the tail every negotiation cycle — full or skipped — runs:

@@ -2,7 +2,6 @@ package condor_test
 
 import (
 	"fmt"
-	"reflect"
 	"testing"
 
 	"phishare/internal/cluster"
@@ -188,107 +187,44 @@ func TestOfflineCounterTracksScan(t *testing.T) {
 	}
 }
 
-// TestShardedNegotiationBitIdentical is the acceptance test named by
-// Config.NegotiationShards: across policies × seeds × shard counts, a full
-// run on the sharded negotiator must be bit-for-bit identical to the serial
-// scan — every job record, every activity counter. K beyond the machine
-// count exercises the clamp.
-func TestShardedNegotiationBitIdentical(t *testing.T) {
-	policies := map[string]func() condor.Policy{
-		"MC":   func() condor.Policy { return scheduler.NewExclusive() },
-		"MCC":  func() condor.Policy { return scheduler.NewRandomPack(rng.New(3)) },
-		"MCCK": func() condor.Policy { return core.New(core.Config{}) },
-	}
-	run := func(mk func() condor.Policy, seed int64, shards int) (condor.Stats, []interface{}) {
-		eng := sim.New()
-		eng.MaxSteps = 10_000_000
-		clu := cluster.New(eng, cluster.Config{Nodes: 4, UseCosmic: true, Seed: 1})
-		pool := condor.NewPool(eng, clu, mk(), condor.Config{
-			MaxRetries:        2,
-			NegotiationShards: shards,
-		})
-		pool.Submit(job.GenerateTableOneSet(40, rng.New(seed).Fork("tableI")))
-		eng.Run()
-		if !pool.Done() {
-			t.Fatal("pool not done after engine drained")
-		}
-		recs := make([]interface{}, 0, len(pool.Records()))
-		for _, r := range pool.Records() {
-			recs = append(recs, r)
-		}
-		return pool.Stats(), recs
-	}
-	for name, mk := range policies {
-		for seed := int64(1); seed <= 5; seed++ {
-			wantStats, wantRecs := run(mk, seed, 0)
-			for _, k := range []int{1, 3, 8} {
-				gotStats, gotRecs := run(mk, seed, k)
-				if gotStats != wantStats {
-					t.Errorf("%s seed %d shards=%d: stats diverge:\ngot  %+v\nwant %+v",
-						name, seed, k, gotStats, wantStats)
-				}
-				if !reflect.DeepEqual(gotRecs, wantRecs) {
-					for i := range wantRecs {
-						if i >= len(gotRecs) || !reflect.DeepEqual(gotRecs[i], wantRecs[i]) {
-							t.Fatalf("%s seed %d shards=%d: record %d diverges:\ngot  %+v\nwant %+v",
-								name, seed, k, i, gotRecs[i], wantRecs[i])
-						}
-					}
-					t.Fatalf("%s seed %d shards=%d: record count %d != %d",
-						name, seed, k, len(gotRecs), len(wantRecs))
-				}
-			}
-		}
-	}
-}
+// decliningMCCK is the MCCK policy with a Select that never takes a
+// machine: its pinned jobs stay pending, so every cycle's plan re-pins them
+// with the identical expression — MCCK's steady-state re-pin, isolated.
+type decliningMCCK struct{ *core.Scheduler }
 
-// TestShardRangesPlanning pins the partition plan: contiguous, covering,
-// near-even, clamped to the machine count, and collapsed to one full range
-// whenever sharding is off or a cache-disabled replay forces the serial scan.
-func TestShardRangesPlanning(t *testing.T) {
-	plan := func(nodes int, cfg condor.Config) [][2]int {
+func (decliningMCCK) Select(*condor.Pool, *condor.QueuedJob, []*condor.Machine) int { return -1 }
+
+// TestReferenceQeditMutatesEveryCycle pins the raw reference negotiator:
+// under DisableMatchCache a steady-state re-pin must rewrite the job ad
+// (its version moves on every cycle), while the default negotiator elides
+// the identical rewrite and keeps the version — and with it the
+// autocluster verdicts — warm.
+func TestReferenceQeditMutatesEveryCycle(t *testing.T) {
+	for _, reference := range []bool{false, true} {
 		eng := sim.New()
-		clu := cluster.New(eng, cluster.Config{Nodes: nodes, Seed: 1})
-		return condor.NewPool(eng, clu, scheduler.NewExclusive(), cfg).ShardRanges()
-	}
-	// Serial configurations: one full range.
-	for _, cfg := range []condor.Config{
-		{},
-		{NegotiationShards: 4, DisableAutoclusters: true},
-		{NegotiationShards: 4, DisableMatchCache: true},
-	} {
-		r := plan(6, cfg)
-		if len(r) != 1 || r[0] != [2]int{0, 6} {
-			t.Fatalf("config %+v: ranges %v, want one full range", cfg, r)
+		clu := cluster.New(eng, cluster.Config{Nodes: 1, UseCosmic: true, Seed: 1})
+		pool := condor.NewPool(eng, clu, decliningMCCK{core.New(core.Config{})},
+			condor.Config{DisableMatchCache: reference})
+		pool.Submit([]*job.Job{mkJob(1, 1000, 60, 1)})
+		q := pool.Pending()[0]
+		pool.NegotiateOnce()
+		pinned := q.Ad.Eval("Requirements").String()
+		if pinned == "false" {
+			t.Fatal("the plan did not pin the job")
 		}
-	}
-	// Sharded: contiguous cover, sizes differing by at most one, K clamped.
-	for _, tc := range []struct{ nodes, k, wantShards int }{
-		{6, 1, 1}, {6, 2, 2}, {6, 4, 4}, {6, 100, 6}, {3, 8, 3},
-	} {
-		r := plan(tc.nodes, condor.Config{NegotiationShards: tc.k})
-		if len(r) != tc.wantShards {
-			t.Fatalf("nodes=%d K=%d: %d shards, want %d", tc.nodes, tc.k, len(r), tc.wantShards)
-		}
-		lo, minSz, maxSz := 0, tc.nodes, 0
-		for _, pr := range r {
-			if pr[0] != lo {
-				t.Fatalf("nodes=%d K=%d: ranges %v not contiguous", tc.nodes, tc.k, r)
+		for cycle := 2; cycle <= 5; cycle++ {
+			before := q.Ad.Version()
+			pool.NegotiateOnce()
+			if got := q.Ad.Eval("Requirements").String(); got != pinned {
+				t.Fatalf("reference=%v cycle %d: pin moved from %s to %s", reference, cycle, pinned, got)
 			}
-			sz := pr[1] - pr[0]
-			if sz < minSz {
-				minSz = sz
+			if moved := q.Ad.Version() != before; moved != reference {
+				t.Fatalf("reference=%v cycle %d: ad version moved=%v, want %v",
+					reference, cycle, moved, reference)
 			}
-			if sz > maxSz {
-				maxSz = sz
-			}
-			lo = pr[1]
 		}
-		if lo != tc.nodes {
-			t.Fatalf("nodes=%d K=%d: ranges %v do not cover the inventory", tc.nodes, tc.k, r)
-		}
-		if maxSz-minSz > 1 {
-			t.Fatalf("nodes=%d K=%d: shard sizes spread %d..%d, want near-even", tc.nodes, tc.k, minSz, maxSz)
+		if got := pool.Stats().Qedits; got != 5 {
+			t.Fatalf("reference=%v: %d qedits over 5 cycles, want one re-pin per cycle", reference, got)
 		}
 	}
 }

@@ -35,18 +35,16 @@ type ChaosConfig struct {
 	// headroom for injected crashes, or every fault cascades into a
 	// Failed job and nothing exercises the resubmit path).
 	Retries int
-	// DiffReference makes every cell run five times — once on the
-	// optimized fast paths (parallel lanes included), once with
-	// autoclusters, the match cache, round memoization and the sparse
-	// knapsack solver all force-disabled, once with the parallel
-	// simulation core forced off, and once each with the negotiator
-	// sharded at K=1 and K=4 — and diffs the runs' summary metrics and
+	// DiffReference makes every cell run three times — once on the
+	// optimized fast paths (parallel lanes included), once on the
+	// reference paths (the raw classad.Match negotiator, the dense
+	// knapsack, no round memoization), and once with the parallel
+	// simulation core forced off — and diffs the runs' summary metrics and
 	// full per-job record streams bit for bit. Any divergence is reported
-	// as a violation: under fault injection the caches see invalidation
-	// orders — and the parallel core sees barrier/window shapes, and the
-	// sharded commit sees claim-conflict orders — that the clean-path
-	// equivalence tests never produce, so this is the adversarial version
-	// of those guarantees.
+	// as a violation: under fault injection the negotiator's caches and
+	// candidate memo see invalidation orders — and the parallel core sees
+	// barrier/window shapes — that the clean-path equivalence tests never
+	// produce, so this is the adversarial version of those guarantees.
 	DiffReference bool
 	// Logf, if non-nil, receives progress lines.
 	Logf func(format string, args ...any)
@@ -106,33 +104,27 @@ func (f ChaosFailure) String() string {
 // divergence. Panics propagate to the caller.
 func ChaosRun(c ChaosConfig, seed int64, prof faults.Profile, policy string) []string {
 	c = c.withDefaults()
-	res, records, violations := chaosCell(c, seed, prof, policy, false, false, 0)
+	res, records, violations := chaosCell(c, seed, prof, policy, false, false)
 	if !c.DiffReference {
 		return violations
 	}
-	refRes, refRecords, refViolations := chaosCell(c, seed, prof, policy, true, false, 0)
+	refRes, refRecords, refViolations := chaosCell(c, seed, prof, policy, true, false)
 	violations = append(violations, refViolations...)
 	violations = append(violations, diffOutcomes("reference", res, records, refRes, refRecords)...)
-	serRes, serRecords, serViolations := chaosCell(c, seed, prof, policy, false, true, 0)
+	serRes, serRecords, serViolations := chaosCell(c, seed, prof, policy, false, true)
 	violations = append(violations, serViolations...)
 	violations = append(violations, diffOutcomes("parallel-off replay", res, records, serRes, serRecords)...)
-	for _, k := range []int{1, 4} {
-		shRes, shRecords, shViolations := chaosCell(c, seed, prof, policy, false, false, k)
-		violations = append(violations, shViolations...)
-		violations = append(violations,
-			diffOutcomes(fmt.Sprintf("sharded(K=%d) replay", k), res, records, shRes, shRecords)...)
-	}
 	return violations
 }
 
 // chaosCell runs one swarm cell under a fresh fault harness — on the
-// optimized configuration, the reference-path configuration, (serial) the
-// optimized configuration with the parallel simulation core forced off, or
-// (shards > 0) with the negotiator sharded K ways — and returns the run
-// outcome plus the harness's invariant violations. Every configuration sees
+// optimized configuration, the reference-path configuration, or (serial)
+// the optimized configuration with the parallel simulation core forced
+// off — and returns the run outcome plus the harness's invariant
+// violations. Every configuration sees
 // the identical injection schedule: the injector is driven purely by
 // (profile, seed).
-func chaosCell(c ChaosConfig, seed int64, prof faults.Profile, policy string, reference, serial bool, shards int) (Result, []metrics.JobRecord, []string) {
+func chaosCell(c ChaosConfig, seed int64, prof faults.Profile, policy string, reference, serial bool) (Result, []metrics.JobRecord, []string) {
 	h := &faults.Harness{Profile: prof, Seed: seed, Check: true}
 	cfg := RunConfig{
 		Policy: policy,
@@ -144,15 +136,11 @@ func chaosCell(c ChaosConfig, seed int64, prof faults.Profile, policy string, re
 	}
 	if reference {
 		cfg.Condor.DisableMatchCache = true
-		cfg.Condor.DisableAutoclusters = true
 		cfg.Core = core.Config{ReferenceSolver: true, DisableRoundMemo: true}
 	}
 	if serial {
 		off := false
 		cfg.Parallel = &off
-	}
-	if shards > 0 {
-		cfg.Condor.NegotiationShards = shards
 	}
 	var records []metrics.JobRecord
 	cfg.RecordSink = &records
@@ -164,8 +152,6 @@ func chaosCell(c ChaosConfig, seed int64, prof faults.Profile, policy string, re
 		label = "reference path: "
 	case serial:
 		label = "parallel-off replay: "
-	case shards > 0:
-		label = fmt.Sprintf("sharded(K=%d) replay: ", shards)
 	}
 	if label != "" {
 		for i, v := range violations {

@@ -7,12 +7,14 @@ import (
 	"strings"
 	"testing"
 
+	"phishare/internal/cluster"
 	"phishare/internal/condor"
 	"phishare/internal/core"
 	"phishare/internal/faults"
 	"phishare/internal/job"
 	"phishare/internal/metrics"
 	"phishare/internal/rng"
+	"phishare/internal/sim"
 	"phishare/internal/units"
 	"phishare/internal/workload"
 )
@@ -628,87 +630,187 @@ func TestMeanStd(t *testing.T) {
 	}
 }
 
-// TestReferencePathOutcomeEquivalence is the acceptance gate for the
-// autocluster + sparse-solver generation of optimizations: across seeds ×
-// policies × fault regimes, a run with every optimization enabled must be
-// bit-for-bit identical — job record stream, makespan, summary, utilization,
-// concurrency — to the same run with every optimization forced onto its
-// reference path (legacy per-pair matchmaking, no match cache, reference
-// dense knapsack, no round memo). Faulted cells run under the light chaos
-// profile with invariant checking, so the equivalence also covers the
-// dirty-cycle bookkeeping that fault transitions exercise.
-func TestReferencePathOutcomeEquivalence(t *testing.T) {
-	type outcome struct {
-		makespan       units.Tick
-		utilization    float64
-		maxConcurrency int
-		summary        metrics.Summary
-		records        []metrics.JobRecord
+// eqOutcome is everything TestReferencePathOutcomeEquivalence requires to
+// be bit-identical between a cell's runs.
+type eqOutcome struct {
+	makespan       units.Tick
+	utilization    float64
+	maxConcurrency int
+	summary        metrics.Summary
+	records        []metrics.JobRecord
+}
+
+// eqRow is one configuration of the equivalence table.
+type eqRow struct {
+	name   string
+	policy string
+	// cfg adjusts the cell's RunConfig, for the optimized and reference
+	// runs alike.
+	cfg func(c *RunConfig, seed int64)
+	// bands submits the cell's jobs in three priority bands through
+	// runPriorityBands, since RunConfig has no priority knob.
+	bands bool
+}
+
+// runPriorityBands assembles cfg's stack exactly as Run does but submits
+// job i at priority i%3, so the pending queue interleaves priority levels.
+func runPriorityBands(cfg RunConfig) eqOutcome {
+	eng := sim.New()
+	if cfg.usesParallel() {
+		eng.SetParallel(cfg.Workers, cfg.Condor.Lookahead())
 	}
-	cell := func(policy string, seed int64, faulted, reference, serial bool, shards int) outcome {
+	clu := cluster.New(eng, cluster.Config{
+		Nodes:          cfg.Nodes,
+		DevicesPerNode: cfg.DevicesPerNode,
+		NodeDevices:    cfg.NodeDevices,
+		UseCosmic:      cfg.usesCosmic(),
+		Seed:           cfg.Seed,
+	})
+	pool := condor.NewPool(eng, clu, cfg.buildPolicy(), cfg.Condor)
+	if cfg.Chaos != nil {
+		cfg.Chaos.Wire(eng, clu, pool)
+	}
+	var bands [3][]*job.Job
+	for i, j := range cfg.Jobs {
+		bands[i%3] = append(bands[i%3], j)
+	}
+	for prio, band := range bands {
+		pool.SubmitWithPriority(band, prio)
+	}
+	eng.Run()
+	recs := pool.Records()
+	var agg metrics.Aggregate
+	for _, r := range recs {
+		agg.Add(r)
+	}
+	sum := agg.Summary(clu.Utils(), pool.Makespan())
+	sum.MaxConcurrency = pool.MaxConcurrency()
+	return eqOutcome{pool.Makespan(), sum.AvgUtilization, sum.MaxConcurrency, sum, recs}
+}
+
+// TestReferencePathOutcomeEquivalence is the acceptance gate for the
+// optimized scheduler paths: across a table of configurations × seeds ×
+// fault regimes, a run with every optimization enabled must be bit-for-bit
+// identical — job record stream, makespan, summary, utilization,
+// concurrency — to the same run on the reference paths (the raw
+// classad.Match negotiator of DisableMatchCache, the dense knapsack, no
+// round memo), and to itself on the serial engine. Faulted cells run under
+// the light chaos profile with invariant checking, so the equivalence also
+// covers the dirty-cycle bookkeeping that fault transitions exercise.
+//
+// Beyond the paper's three stacks, the rows cover what the negotiator's
+// per-autocluster candidate memo, its early stop and its monotonicity
+// assumption rest on: a guard-free policy, fair-share reordering, mixed
+// priority levels, claim reuse, multi-device nodes and a heterogeneous
+// pool.
+func TestReferencePathOutcomeEquivalence(t *testing.T) {
+	tenants := func(c *RunConfig, _ int64) {
+		arrivals := make([]workload.Arrival, len(c.Jobs))
+		for i, j := range c.Jobs {
+			arrivals[i] = workload.Arrival{Job: j, Tenant: fmt.Sprintf("t%d", i%3),
+				At: units.Tick(i/6) * 20 * units.Second}
+		}
+		c.Jobs, c.Source = nil, workload.FromArrivals(arrivals)
+		c.Condor.FairShare = true
+	}
+	// A mixed-generation pool needs jobs that fit its smallest device, so
+	// it runs on a compressed diurnal stream rather than the Table I set.
+	diurnalMix := func(c *RunConfig, seed int64) {
+		c.NodeDevices = workload.HeterogeneousPool(seed, c.Nodes, workload.DefaultDeviceClasses())
+		c.Jobs, c.Source = nil, workload.NewDiurnal(workload.DiurnalConfig{
+			N: 60, Seed: seed, Horizon: 10 * units.Minute, Tenants: 3})
+	}
+	rows := []eqRow{
+		{name: "MC", policy: PolicyMC},
+		{name: "MCC", policy: PolicyMCC},
+		{name: "MCCK", policy: PolicyMCCK},
+		{name: "Agnostic", policy: PolicyAgnostic, cfg: func(c *RunConfig, _ int64) {
+			c.Condor.MaxRetries = 2
+		}},
+		{name: "MCC fair-share", policy: PolicyMCC, cfg: tenants},
+		{name: "MCCK fair-share", policy: PolicyMCCK, cfg: tenants},
+		{name: "MCC priorities", policy: PolicyMCC, bands: true},
+		{name: "MCCK priorities", policy: PolicyMCCK, bands: true},
+		{name: "MCC claim-reuse", policy: PolicyMCC, cfg: func(c *RunConfig, _ int64) {
+			c.Condor.ClaimReuse = true
+		}},
+		{name: "MCCK claim-reuse", policy: PolicyMCCK, cfg: func(c *RunConfig, _ int64) {
+			c.Condor.ClaimReuse = true
+		}},
+		{name: "MCCK 2 devices/node", policy: PolicyMCCK, cfg: func(c *RunConfig, _ int64) {
+			c.DevicesPerNode = 2
+		}},
+		{name: "MCC heterogeneous", policy: PolicyMCC, cfg: diurnalMix},
+		{name: "MCCK heterogeneous", policy: PolicyMCCK, cfg: diurnalMix},
+	}
+	cell := func(row eqRow, seed int64, faulted, reference, serial bool) eqOutcome {
 		jobs := job.GenerateTableOneSet(60, rng.New(seed).Fork("tableI"))
-		cfg := RunConfig{Policy: policy, Nodes: 3, Jobs: jobs, Seed: seed}
-		var recs []metrics.JobRecord
-		cfg.RecordSink = &recs
+		cfg := RunConfig{Policy: row.policy, Nodes: 3, Jobs: jobs, Seed: seed}
+		if row.cfg != nil {
+			row.cfg(&cfg, seed)
+		}
 		if reference {
-			cfg.Condor = condor.Config{DisableMatchCache: true, DisableAutoclusters: true}
-			cfg.Core = core.Config{ReferenceSolver: true, DisableRoundMemo: true}
+			cfg.Condor.DisableMatchCache = true
+			cfg.Core.ReferenceSolver = true
+			cfg.Core.DisableRoundMemo = true
 		}
 		if serial {
 			off := false
 			cfg.Parallel = &off
 		}
-		cfg.Condor.NegotiationShards = shards
 		var h *faults.Harness
 		if faulted {
 			h = &faults.Harness{Profile: faults.LightProfile(), Seed: seed, Check: true}
 			cfg.Chaos = h
 		}
-		res := Run(cfg)
+		var out eqOutcome
+		if row.bands {
+			out = runPriorityBands(cfg)
+		} else {
+			var recs []metrics.JobRecord
+			cfg.RecordSink = &recs
+			res := Run(cfg)
+			out = eqOutcome{res.Makespan, res.Utilization, res.MaxConcurrency, res.Summary, recs}
+		}
 		if h != nil {
 			if violations := h.Finish(); len(violations) > 0 {
 				t.Fatalf("%s seed %d (reference=%v): invariant violations: %v",
-					policy, seed, reference, violations)
+					row.name, seed, reference, violations)
 			}
 		}
-		return outcome{res.Makespan, res.Utilization, res.MaxConcurrency, res.Summary, recs}
+		return out
 	}
-	compare := func(policy string, seed int64, faulted bool, label string, got, want outcome) {
+	compare := func(row string, seed int64, faulted bool, label string, got, want eqOutcome) {
 		t.Helper()
 		if got.makespan != want.makespan || got.utilization != want.utilization ||
 			got.maxConcurrency != want.maxConcurrency || got.summary != want.summary {
 			t.Errorf("%s seed %d faulted=%v (%s): aggregates diverge:\ngot  %+v\nwant %+v",
-				policy, seed, faulted, label, got.summary, want.summary)
+				row, seed, faulted, label, got.summary, want.summary)
 		}
 		if !reflect.DeepEqual(got.records, want.records) {
 			for i := range got.records {
 				if i < len(want.records) && got.records[i] != want.records[i] {
 					t.Errorf("%s seed %d faulted=%v (%s): record %d differs:\ngot  %+v\nwant %+v",
-						policy, seed, faulted, label, i, got.records[i], want.records[i])
+						row, seed, faulted, label, i, got.records[i], want.records[i])
 					break
 				}
 			}
 			t.Fatalf("%s seed %d faulted=%v (%s): record stream diverges (%d vs %d records)",
-				policy, seed, faulted, label, len(got.records), len(want.records))
+				row, seed, faulted, label, len(got.records), len(want.records))
 		}
 	}
-	for _, policy := range []string{PolicyMC, PolicyMCC, PolicyMCCK} {
+	for _, row := range rows {
 		for seed := int64(1); seed <= 10; seed++ {
 			for _, faulted := range []bool{false, true} {
 				// opt runs with parallel lanes auto-enabled; ref forces every
 				// scheduler optimization onto its reference path (also
 				// parallel); ser is the optimized configuration with the
-				// parallel core forced off; sh1/sh4 run the sharded
-				// negotiator at K=1 and K=4. All five must be bit-identical.
-				opt := cell(policy, seed, faulted, false, false, 0)
-				ref := cell(policy, seed, faulted, true, false, 0)
-				ser := cell(policy, seed, faulted, false, true, 0)
-				compare(policy, seed, faulted, "reference path", opt, ref)
-				compare(policy, seed, faulted, "serial engine", opt, ser)
-				for _, k := range []int{1, 4} {
-					sh := cell(policy, seed, faulted, false, false, k)
-					compare(policy, seed, faulted, fmt.Sprintf("sharded K=%d", k), opt, sh)
-				}
+				// parallel core forced off. All three must be bit-identical.
+				opt := cell(row, seed, faulted, false, false)
+				ref := cell(row, seed, faulted, true, false)
+				ser := cell(row, seed, faulted, false, true)
+				compare(row.name, seed, faulted, "reference path", opt, ref)
+				compare(row.name, seed, faulted, "serial engine", opt, ser)
 			}
 		}
 	}
@@ -722,7 +824,7 @@ func TestReferencePathOutcomeEquivalence(t *testing.T) {
 			base.Makespan, 6)
 		refFP, refOK := Footprint(RunConfig{
 			Policy: PolicyMCCK, Nodes: 3, Jobs: jobs, Seed: seed,
-			Condor: condor.Config{DisableMatchCache: true, DisableAutoclusters: true},
+			Condor: condor.Config{DisableMatchCache: true},
 			Core:   core.Config{ReferenceSolver: true, DisableRoundMemo: true},
 		}, base.Makespan, 6)
 		if optFP != refFP || optOK != refOK {

@@ -179,8 +179,8 @@ func (e *Engine) runEpoch(w units.Tick, bounded bool, gseq uint64) {
 
 // fanWork distributes indices [0, n) over w worker goroutines with an
 // atomic work-stealing counter, waits for all of them, and re-raises the
-// first panic any worker hit. It is the one goroutine-spawn site shared by
-// the epoch executor and Fanout.
+// first panic any worker hit. It is the epoch executor's one goroutine-spawn
+// site.
 func fanWork(n, w int, fn func(int)) {
 	var (
 		next int64
@@ -214,44 +214,6 @@ func fanWork(n, w int, fn func(int)) {
 	if rec != nil {
 		panic(rec)
 	}
-}
-
-// Fanout runs fn(0), …, fn(n-1) on the engine's worker pool and returns
-// once every call has completed. It is the barrier-stage fan-out hook for
-// deterministic parallel phases inside a single event: the sharded Condor
-// negotiator runs its per-shard matchmaking scans through it between event
-// barriers. The contract mirrors the lane discipline: the n calls must be
-// mutually independent — each may read shared snapshot state but write only
-// its own shard's — and every cross-shard effect must be applied by the
-// caller after Fanout returns, in a canonical order, so outcomes stay
-// bit-identical regardless of worker interleaving.
-//
-// Fanout is legal from serial code and from barrier context (a global
-// event executing between epochs); calling it from an epoch window or from
-// a closure replayed by the canonical walk panics. On a serial engine the
-// worker count defaults to GOMAXPROCS; a parallel engine reuses its
-// configured worker count. n or workers of 1 degenerate to an inline loop.
-func (e *Engine) Fanout(n int, fn func(int)) {
-	if n <= 0 {
-		return
-	}
-	if e.ctx != ctxSerial {
-		panic("sim: Fanout outside barrier context (called from an epoch window or canonical walk)")
-	}
-	w := e.workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > n {
-		w = n
-	}
-	if w <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	fanWork(n, w, fn)
 }
 
 // runnable reports whether the lane's next event falls inside the window.

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"phishare/internal/units"
@@ -100,19 +101,6 @@ func (s *synthWorkload) globalEvent(id, gen int) func() {
 			return
 		}
 		h := splitmix64(s.seed ^ uint64(id)*0xc2b2)
-		// Barrier-stage fan-out: a sharded computation between epochs — the
-		// sharded-negotiator shape. Workers write disjoint slots only; the
-		// digest logged after the join is independent of worker interleaving
-		// by construction, so it must match the serial run bit for bit.
-		if h%2 == 0 {
-			res := make([]uint64, 8)
-			s.eng.Fanout(len(res), func(i int) { res[i] = splitmix64(h + uint64(i)) })
-			var dig uint64
-			for _, v := range res {
-				dig ^= v
-			}
-			s.log("F", -1, int(dig%1000))
-		}
 		// Fan out to two lanes at the same tick (delta 0): the classic
 		// adversarial case — cross-lane same-instant events whose relative
 		// order is fixed by scheduling order, not lane id.
@@ -152,7 +140,7 @@ func runSynth(seed uint64, parallel bool, workers int) ([]string, units.Tick, ui
 
 // TestParallelBarrierEquivalence is the cross-lane adversarial barrier test:
 // for 50 seeds, a workload of same-tick cross-lane events, barrier globals,
-// barrier-stage Fanout computations, stopped timers and deferred closures
+// stopped timers and deferred closures
 // must produce a bit-identical observable log, final clock and step count
 // under serial execution, single-worker parallel execution, and 4-worker
 // parallel execution.
@@ -293,62 +281,31 @@ func TestParallelLookaheadViolationPanics(t *testing.T) {
 	}
 }
 
-// TestFanoutCoversAllIndices pins Fanout's basic contract: every index runs
-// exactly once, on serial and parallel engines alike, including the n <= 1
-// and worker-clamped shapes.
-func TestFanoutCoversAllIndices(t *testing.T) {
-	for _, parallel := range []bool{false, true} {
-		eng := New()
-		if parallel {
-			eng.SetParallel(3, 5)
-		}
+// TestFanWorkCoversAllIndices pins the epoch executor's worker pool: every
+// index runs exactly once, including the n <= 1 and worker-clamped shapes.
+func TestFanWorkCoversAllIndices(t *testing.T) {
+	for _, w := range []int{1, 3} {
 		for _, n := range []int{0, 1, 2, 16, 100} {
 			hits := make([]int32, n)
-			eng.Fanout(n, func(i int) { hits[i]++ })
+			fanWork(n, w, func(i int) { atomic.AddInt32(&hits[i], 1) })
 			for i, h := range hits {
 				if h != 1 {
-					t.Fatalf("parallel=%v n=%d: index %d ran %d times", parallel, n, i, h)
+					t.Fatalf("workers=%d n=%d: index %d ran %d times", w, n, i, h)
 				}
 			}
 		}
 	}
 }
 
-// TestFanoutFromEpochPanics pins the confinement guard: Fanout is a
-// barrier-stage primitive, so calling it from inside an epoch window (a lane
-// event running concurrently with other lanes) must fail loudly.
-func TestFanoutFromEpochPanics(t *testing.T) {
-	eng := New()
-	eng.SetParallel(1, 5)
-	lane := eng.NodeLane(0)
-	// A second active lane forces the true epoch path; a single-active-lane
-	// window runs fused in serial context, where Fanout is legal.
-	eng.NodeLane(1).At(0, func() {})
-	caught := false
-	lane.At(0, func() {
-		defer func() {
-			if recover() != nil {
-				caught = true
-			}
-		}()
-		eng.Fanout(2, func(int) {})
-	})
-	eng.Run()
-	if !caught {
-		t.Fatal("Fanout from epoch context did not panic")
-	}
-}
-
-// TestFanoutPropagatesPanic pins failure delivery: a panic on any Fanout
-// worker surfaces to the caller instead of being swallowed by the pool.
-func TestFanoutPropagatesPanic(t *testing.T) {
-	eng := New()
+// TestFanWorkPropagatesPanic pins failure delivery: a panic on any worker
+// surfaces to the caller instead of being swallowed by the pool.
+func TestFanWorkPropagatesPanic(t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Fatal("worker panic did not propagate")
 		}
 	}()
-	eng.Fanout(8, func(i int) {
+	fanWork(8, 4, func(i int) {
 		if i == 5 {
 			panic("boom")
 		}
