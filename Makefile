@@ -12,11 +12,10 @@ BENCH_LABEL ?= after
 
 # The regression suite: the hot-path micro-benchmarks plus the two macro
 # benchmarks that exercise the whole stack, the observability
-# overhead pairs (disabled must track BenchmarkEndToEndMCCK; instrumented
-# documents the cost of full instrumentation, serial and 4-worker parallel),
-# and the negotiation sweep (queue depths, plus the 10k-machine/100k-job
+# overhead pair (disabled must track BenchmarkEndToEndMCCK; instrumented
+# documents the cost of full instrumentation), and the negotiation sweep (queue depths, plus the 10k-machine/100k-job
 # cycle in its steady state and with every host slot claimed).
-BENCH_RE = ^(BenchmarkKnapsack2D|BenchmarkClassAdMatch|BenchmarkSimEngine|BenchmarkEndToEndMCCK|BenchmarkTable2Makespan|BenchmarkObsOverhead|BenchmarkObsOverheadParallel|BenchmarkNegotiate|BenchmarkInsertPending)$$
+BENCH_RE = ^(BenchmarkKnapsack2D|BenchmarkClassAdMatch|BenchmarkSimEngine|BenchmarkEndToEndMCCK|BenchmarkTable2Makespan|BenchmarkObsOverhead|BenchmarkNegotiate|BenchmarkInsertPending)$$
 
 # The chaos gate's sweep width: seeds per (policy, profile) cell. The full
 # acceptance sweep is 50; CI runs a shorter one under -race to keep the gate
@@ -40,9 +39,8 @@ vet:
 # sim-path packages, no float equality in value comparisons, no
 # tie-producing sort.Slice in scheduling paths) plus the whole-program
 # rules over the type-checked module (dettaint: banned sources reachable
-# from sim-path entries through any call chain; shardsafe: lane callbacks
-# write no package-level state and do no I/O; pureselect: classad.Match and
-# Policy Select implementations are observably pure). Legitimate sites
+# from sim-path entries through any call chain; pureselect: classad.Match
+# and Policy Select implementations are observably pure). Legitimate sites
 # carry a per-line `//philint:ignore <rule> <reason>` annotation — for a
 # transitive finding, at the offending site or at the sim-path entry.
 # The findings cache keys on the SHA-256 of every loaded source file, so a
@@ -70,20 +68,13 @@ test:
 race:
 	$(GO) test -race ./...
 
-# The worker counts the big-cell scaling sweep records. Each count lands
-# under its own ledger label ($(BENCH_LABEL)-bigcell-cpuN), because benchjson
-# collapses repeated names to per-metric minima and would otherwise fold the
-# sweep into one number.
-BENCH_CPUS ?= 1 2 4
-
+# The big cell runs once at -cpu 1 under the same ledger label
+# ($(BENCH_LABEL)-bigcell-cpu1) its earlier multi-count sweeps used.
 bench:
 	$(GO) test -run '^$$' -bench '$(BENCH_RE)' -benchmem -count 1 . \
 		| $(GO) run ./cmd/benchjson -o $(BENCH_OUT) -label $(BENCH_LABEL)
-	for n in $(BENCH_CPUS); do \
-		$(GO) test -run '^$$' -bench '^BenchmarkBigCell$$' -benchmem -benchtime 1x -cpu $$n . \
-			| $(GO) run ./cmd/benchjson -o $(BENCH_OUT) -label $(BENCH_LABEL)-bigcell-cpu$$n \
-			|| exit 1; \
-	done
+	$(GO) test -run '^$$' -bench '^BenchmarkBigCell$$' -benchmem -benchtime 1x -cpu 1 . \
+		| $(GO) run ./cmd/benchjson -o $(BENCH_OUT) -label $(BENCH_LABEL)-bigcell-cpu1
 	$(GO) test -run '^$$' -bench '^BenchmarkMillionJob$$' -benchmem -benchtime 1x . \
 		| $(GO) run ./cmd/benchjson -o $(BENCH_OUT) -label $(BENCH_LABEL)-millionjob
 
@@ -93,13 +84,11 @@ bench:
 # simulation (any multi-core host). CI for this repo runs on a single-CPU
 # container where every GC cycle of the retained trace (~7k events, ~1.6 MB
 # per end-to-end run) serializes into the measured time — the measured
-# floor there is ~+30% serial and ~+35% for the 4-worker parallel pair
-# (whose workers also time-slice one CPU), with paired minima observed as
-# high as +56% when the gate runs right after the race and chaos legs —
-# so the gate allows headroom above that floor here; the instrumented
-# legs' allocs/op in the ledger (~+7k over disabled, down from ~+19k
-# before the arena pipeline) are the noise-free record of the actual
-# per-event cost.
+# floor there is ~+30%, with paired minima observed as high as +56% when
+# the gate runs right after the race and chaos legs — so the gate allows
+# headroom above that floor here; the instrumented leg's allocs/op in the
+# ledger (~+7k over disabled, down from ~+19k before the arena pipeline) is
+# the noise-free record of the actual per-event cost.
 OBS_TOLERANCE ?= 0.60
 
 # The streaming-residency gate leg re-runs BenchmarkMillionJob's 100k cell
@@ -112,17 +101,17 @@ OBS_TOLERANCE ?= 0.60
 STREAM_TOLERANCE ?= 0.25
 
 # Benchmark regression fence: re-measure the end-to-end macro benchmark and
-# the observability overhead pairs, and fail if (a) ns/op or allocs/op
+# the observability overhead pair, and fail if (a) ns/op or allocs/op
 # regressed more than 10% against the checked-in ledger's "after" label, or
 # (b) any X/instrumented leg runs more than OBS_TOLERANCE over its
-# X/disabled twin (the obs pair-gate). The obs pairs' ns/op is fenced only
-# by (b) — within one sweep, where host drift cancels — while their
+# X/disabled twin (the obs pair-gate). The obs pair's ns/op is fenced only
+# by (b) — within one sweep, where host drift cancels — while its
 # allocs/op (exact, host-independent) stays under the ledger gate.
 # -count 5 lets the gates take per-metric minima (and the pair-gate its
 # best paired ratio), which damps host noise without loosening the
 # tolerance.
 benchgate:
-	$(GO) test -run '^$$' -bench '^(BenchmarkEndToEndMCCK|BenchmarkObsOverhead|BenchmarkObsOverheadParallel)$$' -benchmem -count 5 . \
+	$(GO) test -run '^$$' -bench '^(BenchmarkEndToEndMCCK|BenchmarkObsOverhead)$$' -benchmem -count 5 . \
 		| $(GO) run ./cmd/benchjson -gate $(BENCH_OUT) -gate-label after -obs-tolerance $(OBS_TOLERANCE)
 	$(GO) test -run '^$$' -bench '^BenchmarkMillionJob$$/^jobs=100000$$' -benchmem -benchtime 1x -count 3 . \
 		| $(GO) run ./cmd/benchjson -gate $(BENCH_OUT) -gate-label after-millionjob -tolerance $(STREAM_TOLERANCE)

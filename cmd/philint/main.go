@@ -12,7 +12,7 @@
 //	go run ./cmd/philint -rules         # describe the rules and exit
 //
 // The whole module is always parsed and type-checked — the whole-program
-// rules (dettaint, shardsafe, pureselect) follow call chains across package
+// rules (dettaint, pureselect) follow call chains across package
 // boundaries, so a narrower load would silently weaken them. Package
 // patterns only scope which findings are REPORTED: a finding is shown when
 // its primary position or its entry attribution falls inside a matched

@@ -61,7 +61,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		runner.Run(clu.Units[0], inst, func(runner.Result) {
+		runner.Run(eng, clu.Units[0], inst, func(runner.Result) {
 			if eng.Now() > makespan {
 				makespan = eng.Now()
 			}

@@ -50,7 +50,7 @@ func share(threads units.Threads) {
 	j2 := mkJob(2, "J2", threads, 3)
 	var makespan units.Tick
 	for _, j := range []*job.Job{j1, j2} {
-		runner.Run(clu.Units[0], j, func(r runner.Result) {
+		runner.Run(eng, clu.Units[0], j, func(r runner.Result) {
 			if eng.Now() > makespan {
 				makespan = eng.Now()
 			}

@@ -153,13 +153,33 @@ func TestScoping(t *testing.T) {
 		{SortStable, "internal/metrics", false},
 		{SimGoroutine, "internal/phi", true},
 		{SimGoroutine, "internal/condor", true},
-		{SimGoroutine, "internal/sim", false}, // the worker fork/join lives here
+		{SimGoroutine, "internal/sim", true}, // the engine is serial too
 		{SimGoroutine, "internal/obs", false},
 		{SimGoroutine, "cmd/phibench", false},
 	}
 	for _, tc := range cases {
 		if got := tc.analyzer.AppliesTo(tc.rel); got != tc.want {
 			t.Errorf("%s.AppliesTo(%q) = %v, want %v", tc.analyzer.Name, tc.rel, got, tc.want)
+		}
+	}
+}
+
+// TestSimGoroutineCoversEngine runs simgoroutine the way philint does, with
+// package scoping applied, on a fixture playing internal/sim: the engine is
+// serial, so a goroutine or a sync primitive in it is flagged like anywhere
+// else on the sim path.
+func TestSimGoroutineCoversEngine(t *testing.T) {
+	pkg, err := LoadDir(token.NewFileSet(), filepath.Join("testdata", "simgoroutine", "engine"), "internal/sim")
+	if err != nil || pkg == nil {
+		t.Fatalf("load engine fixture: %v", err)
+	}
+	got := render(Lint([]*Package{pkg}, []*Analyzer{SimGoroutine}))
+	for _, want := range []string{
+		"engine.go:8: simgoroutine: sync.WaitGroup",
+		"engine.go:14: simgoroutine: go statement spawns a host goroutine",
+	} {
+		if !strings.Contains(got, want) {
+			t.Errorf("missing finding %q in:\n%s", want, got)
 		}
 	}
 }

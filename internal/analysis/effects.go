@@ -1,7 +1,7 @@
 package analysis
 
 // Effect summaries and provenance classification: the dataflow substrate of
-// pureselect and shardsafe.
+// pureselect.
 //
 // Provenance answers "whose memory does this expression reach?" for an
 // lvalue or argument inside one function: the function's own locals

@@ -2,11 +2,11 @@ package fixture
 
 import "fmt"
 
-// view stands in for *obs.View: a nil-safe emitter whose variadic field
-// slice is built by the caller.
-type view struct{}
+// observer stands in for *obs.Observer: a nil-safe emitter whose variadic
+// field slice is built by the caller.
+type observer struct{}
 
-func (*view) Emit(at int64, layer, kind string, fields ...any) {}
+func (*observer) Emit(at int64, layer, kind string, fields ...any) {}
 
 type field struct {
 	k string
@@ -16,8 +16,8 @@ type field struct {
 func f(k string, v any) field { return field{k, v} }
 
 type component struct {
-	obs  *view
-	host struct{ obs *view }
+	obs  *observer
+	host struct{ obs *observer }
 }
 
 // cleanGuarded wraps every field-carrying emission in its receiver's nil
@@ -36,7 +36,7 @@ func cleanGuarded(c *component, now int64, job int) {
 
 // cleanFieldless carries no fields: the fixed (at, layer, kind) triple
 // allocates nothing, so no guard is required.
-func cleanFieldless(v *view, now int64) {
+func cleanFieldless(v *observer, now int64) {
 	v.Emit(now, "condor", "negotiation_start")
 }
 

@@ -1,15 +1,15 @@
 package fixture
 
-// laneish mimics the sanctioned shape: concurrency-free component code that
+// evented mimics the sanctioned shape: concurrency-free component code that
 // expresses independent activity by scheduling callbacks. Nothing here
 // touches goroutines, channels, or sync.
-type laneish struct {
+type evented struct {
 	pending []func()
 }
 
-func (l *laneish) after(fn func()) { l.pending = append(l.pending, fn) }
+func (l *evented) after(fn func()) { l.pending = append(l.pending, fn) }
 
-func (l *laneish) pump() {
+func (l *evented) pump() {
 	for len(l.pending) > 0 {
 		fn := l.pending[0]
 		l.pending = l.pending[1:]

@@ -70,7 +70,6 @@ func (p *ModulePass) SuppressedAt(rule string, pos token.Pos) bool {
 func WholeAnalyzers() []*WholeAnalyzer {
 	return []*WholeAnalyzer{
 		DetTaint,
-		ShardSafe,
 		PureSelect,
 	}
 }

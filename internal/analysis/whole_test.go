@@ -99,44 +99,6 @@ func TestDetTaintWholeProgram(t *testing.T) {
 	}
 }
 
-// TestShardSafeWholeProgram pins the lane model: a callback writing its
-// node's own state verifies with zero findings, and a lane write to package
-// state — direct, or transitive through a helper — is reported at its site
-// with the lane call as entry.
-func TestShardSafeWholeProgram(t *testing.T) {
-	dir := filepath.Join("testdata", "shardsafe")
-	mod, _ := loadFixtureModule(t, dir)
-
-	findings := runWhole(mod, ShardSafe)
-	got := renderEntries(findings)
-	compareGolden(t, filepath.Join(dir, "expect.txt"), got)
-
-	for _, f := range findings {
-		if f.Rule != "shardsafe" {
-			t.Errorf("foreign rule %q in shardsafe run", f.Rule)
-		}
-	}
-	// LaneGood (app.go:17-21) is the clean half of the fixture: any finding
-	// on its lines is a precision regression in the provenance model.
-	for _, line := range strings.Split(strings.TrimSpace(got), "\n") {
-		var ln int
-		if _, err := fmt.Sscanf(line, "app.go:%d:", &ln); err != nil {
-			continue
-		}
-		if ln >= 17 && ln <= 21 {
-			t.Errorf("finding on clean fixture line: %s", line)
-		}
-	}
-	for _, wantFrag := range []string{
-		"lane callback writes package-level hits", // direct global write in LaneBad
-		"lanes run concurrently",                  // transitive write via tick
-	} {
-		if !strings.Contains(got, wantFrag) {
-			t.Errorf("missing expected finding %q in:\n%s", wantFrag, got)
-		}
-	}
-}
-
 // TestPureSelectWholeProgram pins the purity contract: classad.Match is
 // strict (the counter write is flagged), Select implementations are
 // discovered through the interface, and the internal/rng exemption admits

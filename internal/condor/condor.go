@@ -270,12 +270,7 @@ type Config struct {
 	DisableMatchCache bool
 }
 
-// Lookahead returns the smallest delay by which node-confined activity can
-// cause a cross-node event under this (defaulted) configuration: a job
-// completion triggers a negotiation after NotifyDelay, and — with claim
-// reuse — a dispatch after DispatchLatency. It is the conservative lookahead
-// the parallel simulation core needs (sim.Engine.SetParallel): no epoch
-// window of that width can hide a global event caused inside it.
+// Lookahead is retained only so the frozen benchmark/ module compiles; remove with the next benchmark change.
 func (c Config) Lookahead() units.Tick {
 	c = c.withDefaults()
 	if c.DispatchLatency < c.NotifyDelay {
@@ -441,7 +436,7 @@ type Pool struct {
 
 	// Observability (SetObserver). Instrument handles are resolved once at
 	// wiring time; every hot-path site pays a nil check when disabled.
-	obs           *obs.View
+	obs           *obs.Observer
 	obsCacheHit   *obs.Counter
 	obsCacheMiss  *obs.Counter
 	obsCacheInv   *obs.Counter
@@ -599,7 +594,7 @@ func NewPool(eng *sim.Engine, clu *cluster.Cluster, policy Policy, cfg Config) *
 // instrument handles. Call before Submit; a nil observer leaves the pool
 // uninstrumented (all handles nil, all emissions skipped).
 func (p *Pool) SetObserver(o *obs.Observer) {
-	p.obs = o.View(nil)
+	p.obs = o
 	p.obsCacheHit = o.Counter("condor_match_cache_hits_total")
 	p.obsCacheMiss = o.Counter("condor_match_cache_misses_total")
 	p.obsCacheInv = o.Counter("condor_match_cache_invalidations_total")
@@ -1110,15 +1105,8 @@ func (p *Pool) claim(q *QueuedJob, m *Machine) {
 			p.obs.Emit(p.eng.Now(), obs.LayerCondor, "execute",
 				obs.F("job", q.Job.ID), obs.F("machine", m.Name))
 		}
-		runner.Run(m.Unit, q.Job, func(r runner.Result) {
-			// The completion fires on the machine's node lane; jobDone
-			// mutates pool-wide state (claims, usage, records, negotiation
-			// requests), so it is deferred to the cross-node context. Under
-			// the serial engine Global runs it immediately — the classic
-			// synchronous path.
-			m.Unit.Lane.Global(func() {
-				p.jobDone(q, m, r)
-			})
+		runner.Run(p.eng, m.Unit, q.Job, func(r runner.Result) {
+			p.jobDone(q, m, r)
 		})
 	})
 }

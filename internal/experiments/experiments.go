@@ -355,7 +355,7 @@ func Fig23(o Options) Fig23Result {
 		j2 := fig23Job(2, "J2", threads, 3)
 		var makespan units.Tick
 		for _, j := range []*job.Job{j1, j2} {
-			runner.Run(clu.Units[0], j, func(runner.Result) {
+			runner.Run(eng, clu.Units[0], j, func(runner.Result) {
 				if eng.Now() > makespan {
 					makespan = eng.Now()
 				}

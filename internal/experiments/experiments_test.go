@@ -656,9 +656,6 @@ type eqRow struct {
 // job i at priority i%3, so the pending queue interleaves priority levels.
 func runPriorityBands(cfg RunConfig) eqOutcome {
 	eng := sim.New()
-	if cfg.usesParallel() {
-		eng.SetParallel(cfg.Workers, cfg.Condor.Lookahead())
-	}
 	clu := cluster.New(eng, cluster.Config{
 		Nodes:          cfg.Nodes,
 		DevicesPerNode: cfg.DevicesPerNode,
@@ -694,7 +691,7 @@ func runPriorityBands(cfg RunConfig) eqOutcome {
 // identical — job record stream, makespan, summary, utilization,
 // concurrency — to the same run on the reference paths (the raw
 // classad.Match negotiator of DisableMatchCache, the dense knapsack, no
-// round memo), and to itself on the serial engine. Faulted cells run under
+// round memo). Faulted cells run under
 // the light chaos profile with invariant checking, so the equivalence also
 // covers the dirty-cycle bookkeeping that fault transitions exercise.
 //
@@ -743,7 +740,7 @@ func TestReferencePathOutcomeEquivalence(t *testing.T) {
 		{name: "MCC heterogeneous", policy: PolicyMCC, cfg: diurnalMix},
 		{name: "MCCK heterogeneous", policy: PolicyMCCK, cfg: diurnalMix},
 	}
-	cell := func(row eqRow, seed int64, faulted, reference, serial bool) eqOutcome {
+	cell := func(row eqRow, seed int64, faulted, reference bool) eqOutcome {
 		jobs := job.GenerateTableOneSet(60, rng.New(seed).Fork("tableI"))
 		cfg := RunConfig{Policy: row.policy, Nodes: 3, Jobs: jobs, Seed: seed}
 		if row.cfg != nil {
@@ -753,10 +750,6 @@ func TestReferencePathOutcomeEquivalence(t *testing.T) {
 			cfg.Condor.DisableMatchCache = true
 			cfg.Core.ReferenceSolver = true
 			cfg.Core.DisableRoundMemo = true
-		}
-		if serial {
-			off := false
-			cfg.Parallel = &off
 		}
 		var h *faults.Harness
 		if faulted {
@@ -802,15 +795,12 @@ func TestReferencePathOutcomeEquivalence(t *testing.T) {
 	for _, row := range rows {
 		for seed := int64(1); seed <= 10; seed++ {
 			for _, faulted := range []bool{false, true} {
-				// opt runs with parallel lanes auto-enabled; ref forces every
-				// scheduler optimization onto its reference path (also
-				// parallel); ser is the optimized configuration with the
-				// parallel core forced off. All three must be bit-identical.
-				opt := cell(row, seed, faulted, false, false)
-				ref := cell(row, seed, faulted, true, false)
-				ser := cell(row, seed, faulted, false, true)
+				// opt runs the optimized paths; ref forces every scheduler
+				// optimization onto its reference path. Both must be
+				// bit-identical.
+				opt := cell(row, seed, faulted, false)
+				ref := cell(row, seed, faulted, true)
 				compare(row.name, seed, faulted, "reference path", opt, ref)
-				compare(row.name, seed, faulted, "serial engine", opt, ser)
 			}
 		}
 	}

@@ -22,205 +22,78 @@ import (
 // the time-series sampler ticking on the shared engine) must produce
 // bit-identical job records, makespans, and footprints vs a bare run.
 // Instrumentation that changes a simulated outcome is never acceptable.
-// Runs in both serial and 4-worker parallel modes: the lane-affine Views
-// must be outcome-neutral in epoch context too.
 func TestObservabilityPreservesOutcomes(t *testing.T) {
-	for _, mode := range []struct {
-		name     string
-		parallel bool
-	}{{"serial", false}, {"parallel4", true}} {
-		t.Run(mode.name, func(t *testing.T) {
-			parallel := mode.parallel
-			for _, seed := range []int64{3, 11} {
-				jobs := job.GenerateTableOneSet(90, rng.New(seed))
-				run := func(instrumented bool) (Result, []metrics.JobRecord, *obs.Observer) {
-					var recs []metrics.JobRecord
-					cfg := RunConfig{
-						Policy:     PolicyMCCK,
-						Nodes:      3,
-						Jobs:       jobs,
-						Seed:       seed,
-						RecordSink: &recs,
-						Parallel:   &parallel,
-						Workers:    4,
-					}
-					var o *obs.Observer
-					if instrumented {
-						o = obs.New()
-						cfg.Obs = o
-						cfg.EventLog = condor.NewEventLog()
-					}
-					res := Run(cfg)
-					return res, recs, o
+	t.Run("serial", func(t *testing.T) {
+		for _, seed := range []int64{3, 11} {
+			jobs := job.GenerateTableOneSet(90, rng.New(seed))
+			run := func(instrumented bool) (Result, []metrics.JobRecord, *obs.Observer) {
+				var recs []metrics.JobRecord
+				cfg := RunConfig{
+					Policy:     PolicyMCCK,
+					Nodes:      3,
+					Jobs:       jobs,
+					Seed:       seed,
+					RecordSink: &recs,
 				}
-				bare, bareRecs, _ := run(false)
-				inst, instRecs, o := run(true)
+				var o *obs.Observer
+				if instrumented {
+					o = obs.New()
+					cfg.Obs = o
+					cfg.EventLog = condor.NewEventLog()
+				}
+				res := Run(cfg)
+				return res, recs, o
+			}
+			bare, bareRecs, _ := run(false)
+			inst, instRecs, o := run(true)
 
-				if inst.Parallel != mode.parallel {
-					t.Fatalf("seed %d: instrumented run parallel = %v, want %v",
-						seed, inst.Parallel, mode.parallel)
-				}
-				if bare.Makespan != inst.Makespan {
-					t.Fatalf("seed %d: instrumentation changed makespan: %v -> %v",
-						seed, bare.Makespan, inst.Makespan)
-				}
-				if !reflect.DeepEqual(bareRecs, instRecs) {
-					for i := range bareRecs {
-						if i < len(instRecs) && bareRecs[i] != instRecs[i] {
-							t.Errorf("seed %d: record %d differs:\nbare:         %+v\ninstrumented: %+v",
-								seed, i, bareRecs[i], instRecs[i])
-							break
-						}
-					}
-					t.Fatalf("seed %d: instrumented record stream (%d) != bare (%d)",
-						seed, len(instRecs), len(bareRecs))
-				}
-				if !reflect.DeepEqual(bare.Summary, inst.Summary) {
-					t.Fatalf("seed %d: summaries differ:\nbare:         %+v\ninstrumented: %+v",
-						seed, bare.Summary, inst.Summary)
-				}
-
-				// Footprint runs a sweep of full simulations; instrument every
-				// one of them (sharing one observer across the sweep is fine —
-				// outcomes must not care).
-				target := bare.Makespan * 2
-				fpCfg := RunConfig{
-					Policy: PolicyMCCK, Nodes: 1, Jobs: jobs, Seed: seed,
-					Parallel: &parallel, Workers: 4,
-				}
-				bareFP, bareOK := Footprint(fpCfg, target, 3)
-				instFPCfg := fpCfg
-				instFPCfg.Obs = obs.New()
-				instFP, instOK := Footprint(instFPCfg, target, 3)
-				if bareFP != instFP || bareOK != instOK {
-					t.Fatalf("seed %d: instrumentation changed footprint: (%d,%v) -> (%d,%v)",
-						seed, bareFP, bareOK, instFP, instOK)
-				}
-
-				// Sanity: the instrumented run actually observed all four layers.
-				for _, layer := range []string{obs.LayerCondor, obs.LayerCore, obs.LayerCosmic, obs.LayerPhi} {
-					if o.Trace.Count(layer, "") == 0 {
-						t.Errorf("seed %d: no trace events from layer %q", seed, layer)
+			if bare.Makespan != inst.Makespan {
+				t.Fatalf("seed %d: instrumentation changed makespan: %v -> %v",
+					seed, bare.Makespan, inst.Makespan)
+			}
+			if !reflect.DeepEqual(bareRecs, instRecs) {
+				for i := range bareRecs {
+					if i < len(instRecs) && bareRecs[i] != instRecs[i] {
+						t.Errorf("seed %d: record %d differs:\nbare:         %+v\ninstrumented: %+v",
+							seed, i, bareRecs[i], instRecs[i])
+						break
 					}
 				}
-				if o.Sampler().Samples() == 0 {
-					t.Errorf("seed %d: sampler recorded nothing", seed)
+				t.Fatalf("seed %d: instrumented record stream (%d) != bare (%d)",
+					seed, len(instRecs), len(bareRecs))
+			}
+			if !reflect.DeepEqual(bare.Summary, inst.Summary) {
+				t.Fatalf("seed %d: summaries differ:\nbare:         %+v\ninstrumented: %+v",
+					seed, bare.Summary, inst.Summary)
+			}
+
+			// Footprint runs a sweep of full simulations; instrument every
+			// one of them (sharing one observer across the sweep is fine —
+			// outcomes must not care).
+			target := bare.Makespan * 2
+			fpCfg := RunConfig{
+				Policy: PolicyMCCK, Nodes: 1, Jobs: jobs, Seed: seed,
+			}
+			bareFP, bareOK := Footprint(fpCfg, target, 3)
+			instFPCfg := fpCfg
+			instFPCfg.Obs = obs.New()
+			instFP, instOK := Footprint(instFPCfg, target, 3)
+			if bareFP != instFP || bareOK != instOK {
+				t.Fatalf("seed %d: instrumentation changed footprint: (%d,%v) -> (%d,%v)",
+					seed, bareFP, bareOK, instFP, instOK)
+			}
+
+			// Sanity: the instrumented run actually observed all four layers.
+			for _, layer := range []string{obs.LayerCondor, obs.LayerCore, obs.LayerCosmic, obs.LayerPhi} {
+				if o.Trace.Count(layer, "") == 0 {
+					t.Errorf("seed %d: no trace events from layer %q", seed, layer)
 				}
 			}
-		})
-	}
-}
-
-// TestParallelStaysEnabledWithSinks is the regression fence for the PR that
-// removed the parallel auto-off: attaching observability sinks (Obs, Trace,
-// EventLog) must neither panic nor silently fall back to serial execution.
-func TestParallelStaysEnabledWithSinks(t *testing.T) {
-	jobs := job.GenerateTableOneSet(90, rng.New(3))
-	o := obs.New()
-	res := Run(RunConfig{
-		Policy:   PolicyMCCK,
-		Nodes:    4,
-		Jobs:     jobs,
-		Seed:     3,
-		Obs:      o,
-		EventLog: condor.NewEventLog(),
-		Workers:  4,
-		// Parallel left nil: the default must be parallel even with sinks.
-	})
-	if !res.Parallel {
-		t.Fatal("run with Obs attached fell back to serial execution")
-	}
-	if res.Epochs == 0 {
-		t.Fatal("parallel run with Obs attached executed zero epoch windows")
-	}
-	if o.Trace.Len() == 0 {
-		t.Fatal("parallel instrumented run recorded no trace events")
-	}
-
-	// Forcing Parallel=true with sinks used to panic; it must simply run.
-	force := true
-	res = Run(RunConfig{
-		Policy:   PolicyMCCK,
-		Nodes:    4,
-		Jobs:     jobs,
-		Seed:     3,
-		Obs:      obs.New(),
-		Parallel: &force,
-		Workers:  4,
-	})
-	if !res.Parallel || res.Epochs == 0 {
-		t.Fatalf("forced parallel instrumented run: parallel=%v epochs=%d",
-			res.Parallel, res.Epochs)
-	}
-}
-
-// TestObsParallelOutputBitIdentical diffs the complete observability output
-// of an instrumented serial run against an instrumented 4-worker parallel
-// run: Prometheus metrics snapshot, JSONL trace stream, and sampled time
-// series must match byte for byte. This is the tentpole contract of the
-// lane-sharded collection path — the canonical walk drains per-lane buffers
-// in (time, seq) order, so parallel emission order is indistinguishable
-// from serial.
-func TestObsParallelOutputBitIdentical(t *testing.T) {
-	artifacts := func(parallel bool) (metricsText, eventsText, seriesText string, res Result) {
-		jobs := job.GenerateTableOneSet(120, rng.New(7))
-		o := obs.New()
-		res = Run(RunConfig{
-			Policy:   PolicyMCCK,
-			Nodes:    4,
-			Jobs:     jobs,
-			Seed:     7,
-			Obs:      o,
-			Parallel: &parallel,
-			Workers:  4,
-		})
-		var m, e, s bytes.Buffer
-		if err := o.WriteMetrics(&m); err != nil {
-			t.Fatal(err)
-		}
-		if err := o.WriteEvents(&e); err != nil {
-			t.Fatal(err)
-		}
-		if err := o.WriteSeriesCSV(&s); err != nil {
-			t.Fatal(err)
-		}
-		return m.String(), e.String(), s.String(), res
-	}
-
-	sm, se, ss, sres := artifacts(false)
-	pm, pe, ps, pres := artifacts(true)
-
-	if !pres.Parallel || pres.Epochs == 0 {
-		t.Fatalf("parallel run did not execute epochs: parallel=%v epochs=%d",
-			pres.Parallel, pres.Epochs)
-	}
-	if sres.Makespan != pres.Makespan {
-		t.Fatalf("makespan differs: serial %v, parallel %v", sres.Makespan, pres.Makespan)
-	}
-	if se == "" || !strings.Contains(se, `"layer":"phi"`) {
-		t.Fatal("serial trace stream is empty or missing phi events")
-	}
-	if sm != pm {
-		t.Errorf("metrics snapshots differ (serial %d bytes, parallel %d bytes)", len(sm), len(pm))
-	}
-	if se != pe {
-		line := 0
-		sl, pl := strings.Split(se, "\n"), strings.Split(pe, "\n")
-		for line < len(sl) && line < len(pl) && sl[line] == pl[line] {
-			line++
-		}
-		get := func(v []string) string {
-			if line < len(v) {
-				return v[line]
+			if o.Sampler().Samples() == 0 {
+				t.Errorf("seed %d: sampler recorded nothing", seed)
 			}
-			return "<eof>"
 		}
-		t.Errorf("trace streams diverge at line %d:\nserial:   %s\nparallel: %s",
-			line, get(sl), get(pl))
-	}
-	if ss != ps {
-		t.Errorf("series CSVs differ (serial %d bytes, parallel %d bytes)", len(ss), len(ps))
-	}
+	})
 }
 
 // TestMatchCacheObservable asserts the PR 1 match cache is visible through

@@ -1,7 +1,7 @@
 package experiments
 
 import (
-	"crypto/sha256"
+	"io"
 	"testing"
 
 	"phishare/internal/job"
@@ -11,17 +11,9 @@ import (
 
 // TestBigCellStreamingTrace traces a 1,000-node / 100,000-job cell — the
 // BenchmarkBigCell configuration — end to end through a streaming
-// emit-and-drop sink, in serial and 4-worker parallel mode, and asserts:
-//
-//  1. Bounded memory: the sink's serialization buffer high-water mark stays
-//     at a single event's size, and the per-lane shard buffers never held
-//     more than one window's emissions, no matter that the full stream is
-//     millions of events.
-//  2. Bit-identity at scale: the streamed JSONL (compared by digest — the
-//     point of streaming is that neither run retains the events), the
-//     Prometheus metrics snapshot, and the sampled time series are
-//     byte-identical between serial and parallel execution, with parallel
-//     mode genuinely active.
+// emit-and-drop sink and asserts bounded memory: the sink's serialization
+// buffer high-water mark stays at a single event's size, no matter that the
+// full stream is millions of events.
 //
 // Skipped under -race (see race_on_test.go) and -short; plain `go test`
 // runs it.
@@ -34,97 +26,26 @@ func TestBigCellStreamingTrace(t *testing.T) {
 	}
 
 	jobs := job.GenerateTableOneSet(100_000, rng.New(17).Fork("tableI"))
-
-	type outcome struct {
-		traceSum  [32]byte
-		metrics   [32]byte
-		series    [32]byte
-		events    int64
-		highWater int
-		shardHigh int
-		res       Result
-	}
-	run := func(parallel bool) outcome {
-		o := obs.New()
-		h := sha256.New()
-		sink := o.StreamEvents(h)
-		res := Run(RunConfig{
-			Policy:   PolicyMCC,
-			Nodes:    1000,
-			Jobs:     jobs,
-			Seed:     17,
-			Obs:      o,
-			Parallel: &parallel,
-			Workers:  4,
-		})
-		if sink.Err() != nil {
-			t.Fatalf("stream sink write error: %v", sink.Err())
-		}
-		var out outcome
-		h.Sum(out.traceSum[:0])
-		mh := sha256.New()
-		if err := o.WriteMetrics(mh); err != nil {
-			t.Fatal(err)
-		}
-		mh.Sum(out.metrics[:0])
-		sh := sha256.New()
-		if err := o.WriteSeriesCSV(sh); err != nil {
-			t.Fatal(err)
-		}
-		sh.Sum(out.series[:0])
-		out.events = sink.Events()
-		out.highWater = sink.HighWater()
-		out.shardHigh = o.ShardHighWater()
-		out.res = res
-		return out
-	}
-
-	serial := run(false)
-	parallel := run(true)
-
-	if !parallel.res.Parallel || parallel.res.Epochs == 0 {
-		t.Fatalf("parallel run inactive: parallel=%v epochs=%d",
-			parallel.res.Parallel, parallel.res.Epochs)
-	}
-	if serial.res.Makespan != parallel.res.Makespan {
-		t.Fatalf("makespan differs: serial %v, parallel %v",
-			serial.res.Makespan, parallel.res.Makespan)
+	o := obs.New()
+	sink := o.StreamEvents(io.Discard)
+	Run(RunConfig{
+		Policy: PolicyMCC,
+		Nodes:  1000,
+		Jobs:   jobs,
+		Seed:   17,
+		Obs:    o,
+	})
+	if sink.Err() != nil {
+		t.Fatalf("stream sink write error: %v", sink.Err())
 	}
 
 	// Full trace, bounded memory. The stream must dwarf the resident
-	// buffers: >100k jobs each emit several lifecycle events, while the
-	// sink never holds more than one serialized event (well under 4 KiB)
-	// and no lane shard ever held more than one epoch window's events.
-	if serial.events < 500_000 {
-		t.Errorf("streamed only %d events; expected the full lifecycle stream", serial.events)
+	// buffer: >100k jobs each emit several lifecycle events, while the
+	// sink never holds more than one serialized event (well under 4 KiB).
+	if sink.Events() < 500_000 {
+		t.Errorf("streamed only %d events; expected the full lifecycle stream", sink.Events())
 	}
-	if serial.events != parallel.events {
-		t.Errorf("event counts differ: serial %d, parallel %d", serial.events, parallel.events)
-	}
-	for _, o := range []struct {
-		name string
-		out  outcome
-	}{{"serial", serial}, {"parallel", parallel}} {
-		if o.out.highWater > 4096 {
-			t.Errorf("%s: sink buffer high-water mark %d bytes; streaming must stay at one-event size",
-				o.name, o.out.highWater)
-		}
-	}
-	if parallel.shardHigh == 0 {
-		t.Error("parallel run never buffered in a lane shard; epoch emissions took the wrong path")
-	}
-	if parallel.shardHigh > 100_000 {
-		t.Errorf("lane shard high-water mark %d events; shards must drain every window", parallel.shardHigh)
-	}
-
-	// Bit-identity at scale.
-	if serial.traceSum != parallel.traceSum {
-		t.Error("streamed trace digests differ between serial and parallel runs")
-	}
-	if serial.metrics != parallel.metrics {
-		t.Error("metrics snapshots differ between serial and parallel runs")
-	}
-	if serial.series != parallel.series {
-		t.Error("sampled series differ between serial and parallel runs")
+	if hw := sink.HighWater(); hw > 4096 {
+		t.Errorf("sink buffer high-water mark %d bytes; streaming must stay at one-event size", hw)
 	}
 }

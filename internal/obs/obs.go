@@ -23,9 +23,10 @@ const DefaultSampleInterval = 5 * units.Second
 
 // Observer bundles one run's observability state: the metrics registry, the
 // structured event trace, and (once bound to an engine) the time-series
-// sampler. Components accept an Observer via SetObserver and resolve their
-// instrument handles once; a nil *Observer hands out nil instruments and
-// drops events, so the disabled cost at every site is a nil check.
+// sampler. Components accept an Observer via SetObserver, keep it for
+// Emit, and resolve their instrument handles once; a nil *Observer hands
+// out nil instruments and drops events, so the disabled cost at every site
+// is a nil check.
 type Observer struct {
 	Reg   *Registry
 	Trace *Trace
@@ -33,14 +34,6 @@ type Observer struct {
 	// DefaultSampleInterval.
 	SampleInterval units.Tick
 	sampler        *Sampler
-	// laneShards are the per-lane event buffers behind lane-affine Views
-	// (see view.go), indexed by lane ID so the per-event drain hook avoids
-	// a map lookup. An Observer reused across a sweep of runs re-uses the
-	// shard at a colliding lane ID, which is safe: the event buffer drains
-	// completely every walk and field blocks are append-only with
-	// capacity-clipped hand-offs, so runs can never overwrite each other's
-	// data. Always drained between epochs.
-	laneShards []*laneShard
 }
 
 // New returns an Observer with a fresh registry and trace.

@@ -15,8 +15,9 @@
 //   - Nil safety: a nil *Observer, *Registry, *Counter, *Gauge, *Histogram,
 //     *Trace, or *Sampler accepts every call as a no-op, so instrumented
 //     components pay only a nil check (and allocate nothing) when
-//     observability is disabled. Components resolve their instrument handles
-//     once at wiring time (SetObserver), never per operation.
+//     observability is disabled. Components keep the *Observer they are
+//     given in SetObserver, emit trace events through it, and resolve
+//     their instrument handles once at wiring time, never per operation.
 package obs
 
 import (

@@ -36,7 +36,7 @@ func TestRunCompletesSequentially(t *testing.T) {
 	j := profileJob(1, 500, 450, 120)
 	var res Result
 	var end units.Tick
-	Run(u, j, func(r Result) { res = r; end = eng.Now() })
+	Run(eng, u, j, func(r Result) { res = r; end = eng.Now() })
 	eng.Run()
 	if res.Outcome != Completed {
 		t.Fatalf("outcome %v", res.Outcome)
@@ -72,7 +72,7 @@ func TestTwoMaximalJobsInterleave(t *testing.T) {
 	var last units.Tick
 	for _, j := range []*job.Job{j1, j2} {
 		j := j
-		Run(u, j, func(r Result) {
+		Run(eng, u, j, func(r Result) {
 			if r.Outcome != Completed {
 				t.Errorf("%s crashed", j.Name)
 			}
@@ -112,7 +112,7 @@ func TestTwoPartialJobsOverlapBetter(t *testing.T) {
 	j1, j2 := mk(1), mk(2)
 	var last units.Tick
 	for _, j := range []*job.Job{j1, j2} {
-		Run(u, j, func(r Result) { last = eng.Now() })
+		Run(eng, u, j, func(r Result) { last = eng.Now() })
 	}
 	eng.Run()
 	if last != j1.SequentialTime() {
@@ -125,7 +125,7 @@ func TestCrashedJobReportsKillReason(t *testing.T) {
 	j := profileJob(1, 500, 800, 120) // misestimates memory
 	var res Result
 	got := 0
-	Run(u, j, func(r Result) { res = r; got++ })
+	Run(eng, u, j, func(r Result) { res = r; got++ })
 	eng.Run()
 	if got != 1 {
 		t.Fatalf("done called %d times", got)
@@ -153,7 +153,7 @@ func TestCrashDuringHostPhaseRaw(t *testing.T) {
 	crashes := 0
 	for i := 0; i < 3; i++ {
 		i := i
-		Run(u, big(i), func(r Result) {
+		Run(eng, u, big(i), func(r Result) {
 			counts[i]++
 			if r.Outcome == Crashed {
 				crashes++
@@ -182,7 +182,7 @@ func TestRunSingleHostPhaseJob(t *testing.T) {
 		Phases: []job.Phase{{Kind: job.HostPhase, Duration: 700}},
 	}
 	var end units.Tick
-	Run(u, j, func(Result) { end = eng.Now() })
+	Run(eng, u, j, func(Result) { end = eng.Now() })
 	eng.Run()
 	if end != 700 {
 		t.Errorf("host-only job ended at %v", end)
@@ -193,7 +193,7 @@ func TestManyJobsAllComplete(t *testing.T) {
 	eng, u := mkCluster(t, true)
 	done := 0
 	for i := 0; i < 12; i++ {
-		Run(u, profileJob(i, 400, 350, 60), func(r Result) {
+		Run(eng, u, profileJob(i, 400, 350, 60), func(r Result) {
 			if r.Outcome != Completed {
 				t.Errorf("job crashed: %+v", r)
 			}
@@ -222,7 +222,7 @@ func TestOffloadTransfersExtendRuntime(t *testing.T) {
 		},
 	}
 	var end units.Tick
-	Run(u, j, func(Result) { end = eng.Now() })
+	Run(eng, u, j, func(Result) { end = eng.Now() })
 	eng.Run()
 	if end != 1200 {
 		t.Errorf("job with transfers ended at %v, want 1200", end)
@@ -245,7 +245,7 @@ func TestConcurrentTransfersContend(t *testing.T) {
 	}
 	var last units.Tick
 	for i := 0; i < 2; i++ {
-		Run(u, mk(i), func(Result) {
+		Run(eng, u, mk(i), func(Result) {
 			if eng.Now() > last {
 				last = eng.Now()
 			}
@@ -271,7 +271,7 @@ func TestTransferVictimDoesNotContinue(t *testing.T) {
 	}
 	var res Result
 	count := 0
-	Run(u, j, func(r Result) { res = r; count++ })
+	Run(eng, u, j, func(r Result) { res = r; count++ })
 	eng.Run()
 	if count != 1 || res.Outcome != Crashed || res.KillReason != phi.KillContainer {
 		t.Errorf("result %+v (count %d)", res, count)
@@ -295,7 +295,7 @@ func TestRunKilledAtAdmissionReportsOnce(t *testing.T) {
 	}
 	count := 0
 	var res Result
-	Run(u, j, func(r Result) { res = r; count++ })
+	Run(eng, u, j, func(r Result) { res = r; count++ })
 	eng.Run()
 	if count != 1 || res.Outcome != Crashed {
 		t.Errorf("result %+v count %d", res, count)
@@ -315,7 +315,7 @@ func TestRunBlockedAdmissionEventuallyRuns(t *testing.T) {
 	}
 	var ends []units.Tick
 	for i := 0; i < 2; i++ {
-		Run(u, mk(i), func(r Result) {
+		Run(eng, u, mk(i), func(r Result) {
 			if r.Outcome != Completed {
 				t.Errorf("job %d crashed", i)
 			}

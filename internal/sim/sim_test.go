@@ -213,28 +213,6 @@ func TestTimerStopRemovesQueuedEvent(t *testing.T) {
 	}
 }
 
-// TestLaneTimerStopRemovesQueuedEvent is the lane-heap variant: Stop on a
-// node-lane timer removes the event from the lane's private heap and returns
-// both objects to the lane pools.
-func TestLaneTimerStopRemovesQueuedEvent(t *testing.T) {
-	e := New()
-	l := e.NodeLane(0)
-	base := e.Pending()
-	for i := 0; i < 1000; i++ {
-		tm := l.AfterTimer(units.Tick(100+i), func() { t.Error("stopped lane timer fired") })
-		tm.Stop()
-	}
-	if e.Pending() != base {
-		t.Fatalf("Pending = %d after lane-timer churn, want %d", e.Pending(), base)
-	}
-	fired := false
-	l.AfterTimer(5, func() { fired = true })
-	e.Run()
-	if !fired {
-		t.Fatal("live lane timer did not fire after churned stops")
-	}
-}
-
 func TestMaxStepsGuard(t *testing.T) {
 	e := New()
 	e.MaxSteps = 100
