@@ -34,13 +34,14 @@ vet:
 	$(GO) vet ./...
 
 # philint (cmd/philint + internal/analysis) enforces the determinism
-# contract at the source level: the per-file rules (no math/rand outside
-# internal/rng, no wall-clock reads, no order-sensitive map iteration in
-# sim-path packages, no float equality in value comparisons, no
-# tie-producing sort.Slice in scheduling paths) plus the whole-program
-# rules over the type-checked module (dettaint: banned sources reachable
-# from sim-path entries through any call chain; pureselect: classad.Match
-# and Policy Select implementations are observably pure). Legitimate sites
+# contract at the source level. Every rule reads the one type-checked
+# module: the package-scoped rules (no math/rand outside internal/rng, no
+# wall-clock reads, no order-sensitive map iteration in sim-path
+# packages, no float equality in value comparisons, no tie-producing
+# sort.Slice in scheduling paths) plus the whole-program rules (dettaint:
+# banned sources reachable from sim-path entries through any call chain;
+# pureselect: classad.Match and Policy Select implementations are
+# observably pure). A module that does not type-check is one finding. Legitimate sites
 # carry a per-line `//philint:ignore <rule> <reason>` annotation — for a
 # transitive finding, at the offending site or at the sim-path entry.
 # The findings cache keys on the SHA-256 of every loaded source file, so a

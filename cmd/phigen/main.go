@@ -250,9 +250,13 @@ func (s *summary) print(diurnal bool) {
 	if !diurnal {
 		return
 	}
-	fmt.Printf("arrivals: %.1fs .. %.1fs (%.2f jobs/s mean)\n",
-		s.firstAt.Seconds(), s.lastAt.Seconds(),
-		float64(s.total)/(s.lastAt-s.firstAt).Seconds())
+	// One arrival, or a burst sharing one timestamp, spans no time and
+	// has no mean rate.
+	fmt.Printf("arrivals: %.1fs .. %.1fs", s.firstAt.Seconds(), s.lastAt.Seconds())
+	if span := s.lastAt - s.firstAt; span > 0 {
+		fmt.Printf(" (%.2f jobs/s mean)", float64(s.total)/span.Seconds())
+	}
+	fmt.Println()
 	if len(s.byTenant) > 1 {
 		type tc struct {
 			name string

@@ -16,7 +16,8 @@
 // boundaries, so a narrower load would silently weaken them. Package
 // patterns only scope which findings are REPORTED: a finding is shown when
 // its primary position or its entry attribution falls inside a matched
-// package.
+// package. A module that does not type-check is reported as one finding
+// carrying the type error, and the run exits nonzero.
 //
 // -cache DIR memoizes a run's findings keyed on the SHA-256 of every loaded
 // source file, so a warm `make lint` skips parsing, type checking, and
@@ -30,8 +31,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 
@@ -39,73 +42,89 @@ import (
 )
 
 func main() {
-	rules := flag.Bool("rules", false, "print each rule's name and contract, then exit")
-	jsonOut := flag.Bool("json", false, "emit findings as JSON on stdout")
-	cacheDir := flag.String("cache", "", "directory for the findings cache (empty disables caching)")
-	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(),
+	cwd, err := os.Getwd()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "philint:", err)
+		os.Exit(2)
+	}
+	os.Exit(run(cwd, os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is philint invoked from directory dir with the given arguments. It
+// returns the exit status: 0 clean, 1 findings, 2 usage or load errors.
+func run(dir string, args []string, stdout, stderr io.Writer) int {
+	flags := flag.NewFlagSet("philint", flag.ContinueOnError)
+	flags.SetOutput(stderr)
+	rules := flags.Bool("rules", false, "print each rule's name and contract, then exit")
+	jsonOut := flags.Bool("json", false, "emit findings as JSON on stdout")
+	cacheDir := flags.String("cache", "", "directory for the findings cache (empty disables caching)")
+	flags.Usage = func() {
+		fmt.Fprintf(stderr,
 			"usage: philint [-rules] [-json] [-cache dir] [packages]\n\n"+
 				"packages scope reporting and default to ./... relative to the module root;\n"+
 				"the whole module is always analyzed\n")
-		flag.PrintDefaults()
+		flags.PrintDefaults()
 	}
-	flag.Parse()
+	if err := flags.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "philint:", err)
+		return 2
+	}
 
 	if *rules {
-		for _, a := range analysis.Analyzers() {
-			fmt.Printf("%-11s %s\n", a.Name, a.Doc)
+		for _, r := range analysis.Rules() {
+			fmt.Fprintf(stdout, "%-11s %s\n", r.Name, r.Doc)
 		}
-		for _, wa := range analysis.WholeAnalyzers() {
-			fmt.Printf("%-11s %s\n", wa.Name, wa.Doc)
-		}
-		return
+		return 0
 	}
 
-	cwd, err := os.Getwd()
+	root, err := analysis.FindModuleRoot(dir)
 	if err != nil {
-		fatal(err)
-	}
-	root, err := analysis.FindModuleRoot(cwd)
-	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	// Load everything: the whole-program rules need the full module. The
 	// argument patterns are validated against the loaded set below and then
 	// scope reporting only.
 	pkgs, err := analysis.LoadModule(root, nil)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
-	patterns := flag.Args()
+	patterns := flags.Args()
 	if err := validatePatterns(pkgs, patterns); err != nil {
-		fatal(err)
+		return fail(err)
 	}
 
 	findings, cached := cachedFindings(root, *cacheDir, pkgs)
 	if !cached {
-		findings = analysis.LintAll(pkgs, analysis.Analyzers(), analysis.WholeAnalyzers())
+		findings = analysis.Lint(pkgs, analysis.Rules())
 		writeCache(root, *cacheDir, pkgs, findings)
 	}
 	findings = filterByPatterns(root, findings, patterns)
 
 	if *jsonOut {
-		if err := writeJSON(os.Stdout, root, findings); err != nil {
-			fatal(err)
+		if err := writeJSON(stdout, root, findings); err != nil {
+			return fail(err)
 		}
 	} else {
 		for _, f := range findings {
 			// Report paths relative to the invocation directory so the
 			// file:line anchors are clickable from the terminal.
-			if rel, err := filepath.Rel(cwd, f.Pos.Filename); err == nil && f.Pos.Filename != "(module)" {
+			if rel, err := filepath.Rel(dir, f.Pos.Filename); err == nil && f.Pos.Filename != "(module)" {
 				f.Pos.Filename = rel
 			}
-			fmt.Println(f)
+			fmt.Fprintln(stdout, f)
 		}
 	}
 	if len(findings) > 0 {
-		fmt.Fprintf(os.Stderr, "philint: %d finding(s)\n", len(findings))
-		os.Exit(1)
+		fmt.Fprintf(stderr, "philint: %d finding(s)\n", len(findings))
+		return 1
 	}
+	return 0
 }
 
 // validatePatterns rejects a pattern matching no loaded package: a typo'd
@@ -166,9 +185,4 @@ func filterByPatterns(root string, findings []analysis.Finding, patterns []strin
 		}
 	}
 	return out
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "philint:", err)
-	os.Exit(2)
 }

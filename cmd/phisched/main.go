@@ -27,6 +27,7 @@ import (
 	"io"
 	"log"
 	"os"
+	"sort"
 
 	"phishare/internal/condor"
 	"phishare/internal/experiments"
@@ -239,9 +240,14 @@ func main() {
 		for _, j := range jobs {
 			byWorkload[j.Workload]++
 		}
+		names := make([]string, 0, len(byWorkload))
+		for name := range byWorkload {
+			names = append(names, name)
+		}
+		sort.Strings(names)
 		fmt.Println("\njob mix:")
-		for name, count := range byWorkload {
-			fmt.Printf("  %-10s %d\n", name, count)
+		for _, name := range names {
+			fmt.Printf("  %-10s %d\n", name, byWorkload[name])
 		}
 	}
 }

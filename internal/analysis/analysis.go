@@ -5,16 +5,16 @@
 // MC/MCC/MCCK outcomes across the optimized paths, outcome-neutral
 // observability, replayable (seed, profile, policy) chaos triples — rests
 // on the simulation being deterministic. philint turns that contract from
-// a convention into a machine-checked CI gate: five analyzers walk the
-// module's ASTs (stdlib go/parser + go/ast only, so go.mod stays
-// dependency-free) and flag the source-level constructs that silently
-// break replayability.
+// a convention into a machine-checked CI gate: nine rules run over the
+// module after the stdlib go/types checker has resolved it (go/parser,
+// go/ast and go/types only, so go.mod stays dependency-free) and flag the
+// source-level constructs that silently break replayability.
 //
-// The analyzers are deliberately heuristic: without full type checking
-// they resolve types from package-local declarations (see Index), which
-// covers every hazard class this codebase exhibits while keeping the
-// tool a sub-second `go run`. A construct the analyzers cannot prove
-// safe is flagged; a reviewed-and-legitimate site is annotated in place:
+// Every rule reads the one type-checked Module. Most are scoped to a set
+// of packages and look at their code alone; dettaint and pureselect
+// follow the call graph across function and package boundaries. A
+// construct the rules cannot prove safe is flagged; a
+// reviewed-and-legitimate site is annotated in place:
 //
 //	start := time.Now() //philint:ignore wallclock harness timing, not sim state
 //
@@ -52,38 +52,89 @@ func (f Finding) String() string {
 	return fmt.Sprintf("%s:%d: %s: %s", f.Pos.Filename, f.Pos.Line, f.Rule, f.Message)
 }
 
-// Pass carries one package's parsed state through one analyzer run.
-type Pass struct {
-	Fset  *token.FileSet
-	Pkg   *Package
-	Index *Index
-
-	findings *[]Finding
-}
-
-// Reportf records a finding at pos.
-func (p *Pass) Reportf(rule string, pos token.Pos, format string, args ...any) {
-	*p.findings = append(*p.findings, Finding{
-		Pos:     p.Fset.Position(pos),
-		Rule:    rule,
-		Message: fmt.Sprintf(format, args...),
-	})
-}
-
-// Analyzer is one named rule over a parsed package.
-type Analyzer struct {
+// Rule is one named check over the type-checked module.
+type Rule struct {
 	// Name is the rule identifier used in findings and ignore directives.
 	Name string
 	// Doc is a one-paragraph description of what the rule enforces and why.
 	Doc string
-	// AppliesTo reports whether the rule is enforced in the package at the
-	// given module-relative directory (e.g. "internal/cosmic",
-	// "cmd/phibench", "." for the module root). The scoping encodes the
-	// determinism contract: some rules are module-wide, others bind only
-	// the sim-path packages.
+	// AppliesTo reports whether the rule binds the package at the given
+	// module-relative directory (e.g. "internal/cosmic", "cmd/phibench",
+	// "." for the module root). The scoping encodes the determinism
+	// contract: some rules are module-wide, others bind only the sim-path
+	// packages. For dettaint the scope is the set of entry packages whose
+	// call chains it follows.
 	AppliesTo func(rel string) bool
-	// Run inspects the package and reports findings through the pass.
+	// Run inspects the module and reports findings through the pass.
 	Run func(*Pass)
+}
+
+// Pass carries the type-checked module through one rule's run.
+type Pass struct {
+	Mod  *Module
+	Rule *Rule
+
+	run *lintRun
+}
+
+// lintRun is the state every rule of one run shares.
+type lintRun struct {
+	dirs     []directive
+	graph    *Graph
+	findings []Finding
+}
+
+// Files returns the parsed files of the packages in the rule's scope.
+func (p *Pass) Files() []*ast.File {
+	var files []*ast.File
+	for _, pkg := range p.Mod.Pkgs {
+		if p.Rule.AppliesTo(pkg.Rel) {
+			files = append(files, pkg.Files...)
+		}
+	}
+	return files
+}
+
+// Graph returns the module call graph, built on first use and shared by
+// every rule of the run.
+func (p *Pass) Graph() *Graph {
+	if p.run.graph == nil {
+		p.run.graph = BuildGraph(p.Mod)
+	}
+	return p.run.graph
+}
+
+// Position resolves a token.Pos against the module's FileSet.
+func (p *Pass) Position(pos token.Pos) token.Position {
+	return p.Mod.Fset.Position(pos)
+}
+
+// Report records a finding.
+func (p *Pass) Report(f Finding) { p.run.findings = append(p.run.findings, f) }
+
+// Reportf records a finding of the pass's rule at pos, with no entry
+// attribution.
+func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
+	p.Report(Finding{
+		Pos:     p.Position(pos),
+		Rule:    p.Rule.Name,
+		Message: fmt.Sprintf(format, args...),
+	})
+}
+
+// SuppressedAt reports whether an ignore directive for rule covers pos —
+// the hook dettaint uses to decide whether a package-scoped rule already
+// sanctioned a source site, and whether that sanction extends to the sim
+// path (it does for content-reviewed rules like mapiter, it does not for
+// context-reviewed ones like wallclock).
+func (p *Pass) SuppressedAt(rule string, pos token.Pos) bool {
+	position := p.Position(pos)
+	for _, d := range p.run.dirs {
+		if d.rule == rule && d.file == position.Filename && d.line == position.Line {
+			return true
+		}
+	}
+	return false
 }
 
 // simPathPackages are the packages whose code runs under simulated time
@@ -108,9 +159,9 @@ func SimPath(rel string) bool { return simPathPackages[rel] }
 // allPackages is the AppliesTo for module-wide rules.
 func allPackages(string) bool { return true }
 
-// Analyzers returns the full suite in stable (report) order.
-func Analyzers() []*Analyzer {
-	return []*Analyzer{
+// Rules returns the full suite in stable (report) order.
+func Rules() []*Rule {
+	return []*Rule{
 		DetRand,
 		WallClock,
 		MapIter,
@@ -118,58 +169,63 @@ func Analyzers() []*Analyzer {
 		SortStable,
 		SimGoroutine,
 		ObsAlloc,
+		DetTaint,
+		PureSelect,
 	}
 }
 
-// AnalyzerNames returns the rule names accepted by ignore directives.
-func AnalyzerNames() map[string]bool {
+// RuleNames returns the rule names accepted by ignore directives. The
+// pseudo-rule "philint" for malformed directives is not among them: it
+// cannot be suppressed.
+func RuleNames() map[string]bool {
 	names := map[string]bool{}
-	for _, a := range Analyzers() {
-		names[a.Name] = true
+	for _, r := range Rules() {
+		names[r.Name] = true
 	}
 	return names
 }
 
-// RunPackage applies one analyzer to one package, ignoring AppliesTo and
-// suppression directives. It is the primitive the golden tests drive.
-func RunPackage(a *Analyzer, pkg *Package) []Finding {
-	var findings []Finding
-	pass := &Pass{Fset: pkg.Fset, Pkg: pkg, Index: pkg.Index(), findings: &findings}
-	a.Run(pass)
-	sortFindings(findings)
-	return findings
-}
-
-// Lint runs the whole suite over the packages with package scoping and
-// suppression applied: the entry point behind cmd/philint. Malformed
-// directives surface as findings under the pseudo-rule "philint".
-func Lint(pkgs []*Package, analyzers []*Analyzer) []Finding {
-	// The directive rule namespace is global: a //philint:ignore naming a
-	// whole-program rule is well-formed even on a per-file-only run.
-	known := AllRuleNames()
-	for _, a := range analyzers {
-		known[a.Name] = true
+// Lint is the gate behind cmd/philint: it type-checks the packages as one
+// module, runs the rules over it with package scoping, and applies the
+// ignore directives (a transitive finding is suppressed by a directive at
+// its primary position or at its entry attribution). Malformed directives
+// surface as findings under the pseudo-rule "philint". A module that does
+// not type-check yields exactly one "philint" finding carrying the type
+// error: every rule reads types, so none runs.
+func Lint(pkgs []*Package, rules []*Rule) []Finding {
+	mod, err := TypeCheck(pkgs)
+	if err != nil {
+		return []Finding{{
+			Pos:     token.Position{Filename: "(module)"},
+			Rule:    "philint",
+			Message: fmt.Sprintf("module does not type-check, no rule ran: %v", err),
+		}}
 	}
+	known := RuleNames()
 	var out []Finding
-	for _, pkg := range pkgs {
-		var findings []Finding
-		pass := &Pass{Fset: pkg.Fset, Pkg: pkg, Index: pkg.Index(), findings: &findings}
-		for _, a := range analyzers {
-			if a.AppliesTo != nil && !a.AppliesTo(pkg.Rel) {
-				continue
-			}
-			a.Run(pass)
-		}
-		dirs, malformed := directives(pkg, known)
+	var dirs []directive
+	for _, pkg := range mod.Pkgs {
+		pkgDirs, malformed := directives(pkg, known)
 		out = append(out, malformed...)
-		for _, f := range findings {
-			if !suppressed(f, dirs) {
-				out = append(out, f)
-			}
+		dirs = append(dirs, pkgDirs...)
+	}
+	for _, f := range run(mod, rules, dirs) {
+		if !suppressed(f, dirs) {
+			out = append(out, f)
 		}
 	}
 	sortFindings(out)
 	return out
+}
+
+// run applies each rule to the module and returns the raw findings, before
+// suppression. dirs is what SuppressedAt consults.
+func run(mod *Module, rules []*Rule, dirs []directive) []Finding {
+	lr := &lintRun{dirs: dirs}
+	for _, r := range rules {
+		r.Run(&Pass{Mod: mod, Rule: r, run: lr})
+	}
+	return lr.findings
 }
 
 // directive is one parsed //philint:ignore comment.
@@ -267,17 +323,4 @@ func sortFindings(fs []Finding) {
 		}
 		return a.Message < b.Message
 	})
-}
-
-// walkFuncs calls fn for every function or method body in the file,
-// with the function's heuristic variable environment prebuilt. Function
-// literals are visited inline by the statement scanners, not separately.
-func walkFuncs(pass *Pass, file *ast.File, fn func(env *Env, body *ast.BlockStmt)) {
-	for _, decl := range file.Decls {
-		fd, ok := decl.(*ast.FuncDecl)
-		if !ok || fd.Body == nil {
-			continue
-		}
-		fn(pass.Index.FuncEnv(fd), fd.Body)
-	}
 }

@@ -24,6 +24,26 @@ func loadFixture(t *testing.T, dir string) *Package {
 	return pkg
 }
 
+// packageRules is the suite without the whole-program rules dettaint and
+// pureselect, which follow call chains rather than read one package.
+func packageRules() []*Rule {
+	var out []*Rule
+	for _, r := range Rules() {
+		if r != DetTaint && r != PureSelect {
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
+// runRaw applies one rule to a type-checked module with no suppression
+// directives: the primitive behind the rule goldens.
+func runRaw(mod *Module, r *Rule) []Finding {
+	findings := run(mod, []*Rule{r}, nil)
+	sortFindings(findings)
+	return findings
+}
+
 // render formats findings with basename-relative paths, one per line, in
 // the same file:line: rule: message form cmd/philint prints.
 func render(findings []Finding) string {
@@ -36,15 +56,24 @@ func render(findings []Finding) string {
 	return sb.String()
 }
 
-// TestGolden runs every analyzer over its fixture directory and compares
-// the findings with the checked-in expect.txt: each rule must fire on its
-// flagged fixtures and stay silent on clean.go.
+// TestGolden runs every package-scoped rule over its fixture directory and
+// compares the findings with the checked-in expect.txt: each rule must fire
+// on its flagged fixtures and stay silent on clean.go. The whole-program
+// rules have multi-package fixtures and their own tests.
 func TestGolden(t *testing.T) {
-	for _, a := range Analyzers() {
+	for _, a := range packageRules() {
 		t.Run(a.Name, func(t *testing.T) {
 			dir := filepath.Join("testdata", a.Name)
-			pkg := loadFixture(t, dir)
-			findings := RunPackage(a, pkg)
+			mod, err := TypeCheck([]*Package{loadFixture(t, dir)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The fixture sits under testdata/, outside every package
+			// scope; the golden pins what the rule detects, TestScoping
+			// where it binds.
+			everywhere := *a
+			everywhere.AppliesTo = allPackages
+			findings := runRaw(mod, &everywhere)
 
 			flaggedSeen := false
 			for _, f := range findings {
@@ -80,14 +109,14 @@ func TestGolden(t *testing.T) {
 	}
 }
 
-// TestSuppression runs the full suite through Lint over the suppression
-// fixture, with the package placed in a sim-path directory so every rule
-// is in scope. It pins that a directive silences exactly its rule on
-// exactly its line, and that malformed directives are findings.
+// TestSuppression runs the package-scoped rules through Lint over the
+// suppression fixture, with the package placed in a sim-path directory so
+// every one of them is in scope. It pins that a directive silences exactly
+// its rule on exactly its line, and that malformed directives are findings.
 func TestSuppression(t *testing.T) {
 	pkg := loadFixture(t, filepath.Join("testdata", "suppress"))
 	pkg.Rel = "internal/sim" // engage the sim-path-scoped rules
-	got := render(Lint([]*Package{pkg}, Analyzers()))
+	got := render(Lint([]*Package{pkg}, packageRules()))
 
 	goldenPath := filepath.Join("testdata", "suppress", "expect.txt")
 	if *update {
@@ -131,9 +160,9 @@ func TestSuppression(t *testing.T) {
 // contract binds, and where it deliberately does not.
 func TestScoping(t *testing.T) {
 	cases := []struct {
-		analyzer *Analyzer
-		rel      string
-		want     bool
+		rule *Rule
+		rel  string
+		want bool
 	}{
 		{DetRand, "internal/rng", false}, // the sanctioned wrapper
 		{DetRand, "internal/workload", true},
@@ -158,8 +187,8 @@ func TestScoping(t *testing.T) {
 		{SimGoroutine, "cmd/phibench", false},
 	}
 	for _, tc := range cases {
-		if got := tc.analyzer.AppliesTo(tc.rel); got != tc.want {
-			t.Errorf("%s.AppliesTo(%q) = %v, want %v", tc.analyzer.Name, tc.rel, got, tc.want)
+		if got := tc.rule.AppliesTo(tc.rel); got != tc.want {
+			t.Errorf("%s.AppliesTo(%q) = %v, want %v", tc.rule.Name, tc.rel, got, tc.want)
 		}
 	}
 }
@@ -173,7 +202,7 @@ func TestSimGoroutineCoversEngine(t *testing.T) {
 	if err != nil || pkg == nil {
 		t.Fatalf("load engine fixture: %v", err)
 	}
-	got := render(Lint([]*Package{pkg}, []*Analyzer{SimGoroutine}))
+	got := render(Lint([]*Package{pkg}, []*Rule{SimGoroutine}))
 	for _, want := range []string{
 		"engine.go:8: simgoroutine: sync.WaitGroup",
 		"engine.go:14: simgoroutine: go statement spawns a host goroutine",
@@ -199,9 +228,33 @@ func TestModuleIsClean(t *testing.T) {
 	if len(pkgs) < 10 {
 		t.Fatalf("LoadModule found only %d packages; walk is broken", len(pkgs))
 	}
-	findings := LintAll(pkgs, Analyzers(), WholeAnalyzers())
+	findings := Lint(pkgs, Rules())
 	for _, f := range findings {
 		t.Errorf("unsuppressed finding: %s", f)
+	}
+}
+
+// TestLintReportsTypeError: every rule reads go/types, so a module that
+// does not type-check gets exactly one "philint" finding at (module)
+// carrying the type error, and no rule findings — not even for the
+// wall-clock read sitting next to the error.
+func TestLintReportsTypeError(t *testing.T) {
+	pkgs, err := LoadModule(filepath.Join("testdata", "typeerror"), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := Lint(pkgs, Rules())
+	if len(got) != 1 {
+		t.Fatalf("want exactly one finding, got %d:\n%s", len(got), render(got))
+	}
+	f := got[0]
+	if f.Rule != "philint" || f.Pos.Filename != "(module)" {
+		t.Errorf("want a philint finding at (module), got %s", f)
+	}
+	for _, want := range []string{"core.go:9:", "cannot use"} {
+		if !strings.Contains(f.Message, want) {
+			t.Errorf("finding does not carry the type error (%q): %s", want, f)
+		}
 	}
 }
 

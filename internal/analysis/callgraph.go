@@ -23,6 +23,7 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
+	"strings"
 )
 
 // EdgeKind says how a call site was resolved.
@@ -585,4 +586,61 @@ func sortedKeys[M map[string]V, V any](m M) []string {
 	}
 	sort.Strings(keys)
 	return keys
+}
+
+// funcDisplayName renders a function for messages: "core.Schedule",
+// "condor.(*Pool).negotiate".
+func funcDisplayName(fi *FuncInfo) string {
+	base := fi.Pkg.Rel
+	if i := strings.LastIndex(base, "/"); i >= 0 {
+		base = base[i+1:]
+	}
+	if base == "." || base == "" {
+		base = ModulePath
+	}
+	if fi.Decl.Recv != nil && len(fi.Decl.Recv.List) > 0 {
+		recv := recvTypeExpr(fi)
+		return base + ".(" + recv + ")." + fi.Fn.Name()
+	}
+	return base + "." + fi.Fn.Name()
+}
+
+// recvTypeExpr renders the receiver type as written ("*Pool", "Dog").
+func recvTypeExpr(fi *FuncInfo) string {
+	t := fi.Decl.Recv.List[0].Type
+	return typeExprString(t)
+}
+
+// recvTypeName renders the receiver's bare type name ("Pool", "Dog").
+func recvTypeName(fi *FuncInfo) string {
+	return strings.TrimPrefix(recvTypeExpr(fi), "*")
+}
+
+func typeExprString(t ast.Expr) string {
+	switch v := t.(type) {
+	case *ast.Ident:
+		return v.Name
+	case *ast.StarExpr:
+		return "*" + typeExprString(v.X)
+	case *ast.IndexExpr:
+		return typeExprString(v.X)
+	case *ast.IndexListExpr:
+		return typeExprString(v.X)
+	case *ast.ParenExpr:
+		return typeExprString(v.X)
+	}
+	return "?"
+}
+
+// chainString renders a call chain for a finding message:
+// "core.Schedule → helper.Pick → time.Now". The final element is the
+// description of the source, supplied by the caller.
+func chainString(chain []ChainLink, source string) string {
+	var sb strings.Builder
+	for _, link := range chain {
+		sb.WriteString(funcDisplayName(link.Fn))
+		sb.WriteString(" → ")
+	}
+	sb.WriteString(source)
+	return sb.String()
 }

@@ -2,6 +2,8 @@ package analysis
 
 import (
 	"go/ast"
+	"go/token"
+	"go/types"
 	"strconv"
 	"strings"
 )
@@ -14,68 +16,76 @@ import (
 // reproducible. A bare rand.Intn — or worse, an unseeded global source —
 // injects process-lifetime state into the run and silently breaks
 // bit-identical replay.
-var DetRand = &Analyzer{
+var DetRand = &Rule{
 	Name: "detrand",
 	Doc: "forbid math/rand (and math/rand/v2) outside internal/rng; " +
 		"all randomness must flow through a seeded rng.Source",
-	AppliesTo: func(rel string) bool { return rel != "internal/rng" },
+	AppliesTo: func(rel string) bool { return rel != randHome },
 	Run:       runDetRand,
 }
 
+// randHome is the one package allowed to use math/rand.
+const randHome = "internal/rng"
+
 func runDetRand(pass *Pass) {
-	for _, file := range pass.Pkg.Files {
-		names := randImports(file)
-		if len(names) > 0 {
-			ast.Inspect(file, func(n ast.Node) bool {
-				sel, ok := n.(*ast.SelectorExpr)
-				if !ok {
-					return true
-				}
-				if id, ok := sel.X.(*ast.Ident); ok && names[id.Name] {
-					pass.Reportf("detrand", sel.Pos(),
-						"%s.%s uses math/rand directly; draw from an internal/rng.Source seeded by the experiment config",
-						id.Name, sel.Sel.Name)
-				}
-				return true
-			})
+	for _, file := range pass.Files() {
+		for _, s := range randUses(pass.Mod.Info, file) {
+			pass.Reportf(s.pos,
+				"%s uses math/rand directly; draw from an internal/rng.Source seeded by the experiment config",
+				s.expr)
 		}
-		// Blank and dot imports have no reviewable call sites (init-time
-		// side effects, or names merged into the file scope); the import
-		// line itself is the finding.
+		// A blank import has no use to report (only init-time side
+		// effects); the import line itself is the finding. Names a dot
+		// import merges into the file scope resolve like any other use.
 		for _, imp := range file.Imports {
 			path, _ := strconv.Unquote(imp.Path.Value)
-			if !isRandPath(path) {
-				continue
-			}
-			if imp.Name != nil && (imp.Name.Name == "_" || imp.Name.Name == ".") {
-				pass.Reportf("detrand", imp.Pos(),
-					"%s import of %s outside internal/rng; use a seeded rng.Source", imp.Name.Name, path)
+			if isRandPath(path) && imp.Name != nil && imp.Name.Name == "_" {
+				pass.Reportf(imp.Pos(),
+					"_ import of %s outside internal/rng; use a seeded rng.Source", path)
 			}
 		}
 	}
 }
 
-// randImports maps the local names under which the file imports
-// math/rand or math/rand/v2.
-func randImports(file *ast.File) map[string]bool {
-	names := map[string]bool{}
-	for _, imp := range file.Imports {
-		path, err := strconv.Unquote(imp.Path.Value)
-		if err != nil || !isRandPath(path) {
-			continue
+// A site is one banned nondeterminism source a detector found: where it
+// is, and the expression as written ("rand.Intn", "time.Now", "s.waiting").
+type site struct {
+	pos  token.Pos
+	expr string
+}
+
+// randUses is the one math/rand detector: every reference under n to an
+// object math/rand or math/rand/v2 declares — package functions, types,
+// and methods on their values alike.
+func randUses(info *types.Info, n ast.Node) []site {
+	var out []site
+	refs(info, n, func(ref ast.Expr, obj types.Object) {
+		if obj.Pkg() != nil && isRandPath(obj.Pkg().Path()) {
+			out = append(out, site{ref.Pos(), exprString(ref)})
 		}
-		name := "rand"
-		if imp.Name != nil {
-			name = imp.Name.Name
+	})
+	return out
+}
+
+// refs calls fn for every identifier under n that uses (rather than
+// declares) an object. A selected name (rand.Intn, r.Intn) is passed as
+// the whole selector, so positions and text match the source as written.
+func refs(info *types.Info, n ast.Node, fn func(ref ast.Expr, obj types.Object)) {
+	ast.Inspect(n, func(n ast.Node) bool {
+		switch v := n.(type) {
+		case *ast.SelectorExpr:
+			if obj := info.Uses[v.Sel]; obj != nil {
+				fn(v, obj)
+			}
+			refs(info, v.X, fn)
+			return false
+		case *ast.Ident:
+			if obj := info.Uses[v]; obj != nil {
+				fn(v, obj)
+			}
 		}
-		if name == "_" || name == "." {
-			// Dot imports hide call sites; report the import itself below
-			// by leaving it out of the usable-name set.
-			continue
-		}
-		names[name] = true
-	}
-	return names
+		return true
+	})
 }
 
 func isRandPath(path string) bool {

@@ -4,23 +4,23 @@ package analysis
 // sources — math/rand outside internal/rng, wall-clock reads, and
 // order-sensitive map iteration — are flagged anywhere *reachable from a
 // sim-path entry point*, through any call chain, across package
-// boundaries. It closes the helper-function escape hatch the per-file
-// rules have: detrand/wallclock/mapiter see one file at a time, so a
-// banned construct tucked into a helper package that sim-path code calls
-// into was structurally invisible to them.
+// boundaries. It closes the helper-function escape hatch the
+// package-scoped rules have: detrand/wallclock/mapiter see only the
+// packages they bind, so a banned construct tucked into a helper package
+// that sim-path code calls into was structurally invisible to them.
 //
-// The rule deliberately does not duplicate the per-file suite. A source
-// the per-file rules already report in scope is skipped here (one finding
+// Each source has exactly one detector (randUses, wallClockReads,
+// mapRanges), which its package-scoped rule and dettaint share. A site
+// the package-scoped rule already reports is skipped here (one finding
 // per construct). What dettaint adds:
 //
 //   - order-sensitive map ranges in packages OUTSIDE the mapiter scope
 //     (classad, obs, knapsack, estimator, runner, …) that sim-path code
-//     transitively calls — per-file mapiter cannot see them, reachability
-//     can;
-//   - rand/wall-clock sites whose per-file finding was suppressed with a
-//     context justification ("harness timing, not sim state") but that ARE
-//     reachable from a sim-path entry — the suppression's premise is
-//     exactly what reachability disproves. A suppressed mapiter site is
+//     transitively calls — mapiter cannot see them, reachability can;
+//   - rand/wall-clock sites whose package-scoped finding was suppressed
+//     with a context justification ("harness timing, not sim state") but
+//     that ARE reachable from a sim-path entry — the suppression's premise
+//     is exactly what reachability disproves. A suppressed mapiter site is
 //     NOT re-flagged: its review ("order-insensitive in fact") is about
 //     the loop's content, which reachability does not undermine.
 //
@@ -29,175 +29,84 @@ package analysis
 // (entry position); an ignore directive at either location suppresses it.
 
 import (
+	"fmt"
 	"go/ast"
-	"go/token"
 	"go/types"
 )
 
-// DetTaint is the whole-program banned-nondeterminism-source rule.
-var DetTaint = &WholeAnalyzer{
+// DetTaint is the whole-program banned-nondeterminism-source rule. Its
+// scope is the set of entry packages: every function declared in a
+// sim-path package roots the reachability walk.
+var DetTaint = &Rule{
 	Name: "dettaint",
 	Doc: "flag banned nondeterminism sources (math/rand, wall-clock reads, " +
 		"order-sensitive map iteration) transitively reachable from sim-path " +
 		"entry points, across function and package boundaries",
-	Run: runDetTaint,
+	AppliesTo: SimPath,
+	Run:       runDetTaint,
 }
 
-// taintSource is one banned construct found anywhere in the module.
-type taintSource struct {
-	fn   *FuncInfo
-	pos  token.Pos
+// bannedSources are the hazard classes dettaint follows, each with its one
+// detector and the package-scoped rule that owns it.
+var bannedSources = []struct {
+	rule   *Rule
+	detect func(*types.Info, ast.Node) []site
+	// desc formats a site's expression at the end of a call chain.
 	desc string
-	// v1rule names the per-file rule that owns this hazard class.
-	v1rule string
-	// v1covered reports whether that per-file rule is in scope at the
-	// source's package, i.e. whether the per-file suite would report it.
-	v1covered bool
+	// reviewsContent: a suppression of the owning rule reviewed the
+	// construct itself, so it holds on the sim path too.
+	reviewsContent bool
+}{
+	{rule: DetRand, detect: randUses, desc: "%s (unseeded math/rand)"},
+	{rule: WallClock, detect: wallClockReads, desc: "%s (wall clock)"},
+	{rule: MapIter, detect: mapRanges, desc: "order-sensitive range over map %s", reviewsContent: true},
 }
 
-func runDetTaint(p *ModulePass) {
+func runDetTaint(p *Pass) {
 	var roots []*FuncInfo
 	for _, fi := range p.Mod.Funcs {
-		if SimPath(fi.Pkg.Rel) {
+		if p.Rule.AppliesTo(fi.Rel()) {
 			roots = append(roots, fi)
 		}
 	}
 	if len(roots) == 0 {
 		return
 	}
-	reach := p.Graph.ReachableFrom(roots)
+	reach := p.Graph().ReachableFrom(roots)
 
 	for _, fi := range p.Mod.Funcs {
 		if !reach.Reaches(fi) {
 			continue
 		}
-		for _, src := range taintSources(p, fi) {
-			if src.v1covered {
-				if !p.SuppressedAt(src.v1rule, src.pos) {
-					// The per-file rule reports this site; one finding per
-					// construct.
-					continue
-				}
-				if src.v1rule == MapIter.Name {
-					// A suppressed mapiter site was reviewed as
-					// order-insensitive in fact; reachability does not
-					// invalidate that.
-					continue
-				}
-			}
-			chain := reach.Chain(fi)
-			entryPos := src.pos
-			if len(chain) > 1 && chain[0].Pos.IsValid() {
-				entryPos = chain[0].Pos
-			}
-			suffix := ""
-			if src.v1covered {
-				suffix = " (site-local suppression reviewed it as outside the sim path; this chain is the sim path)"
-			}
-			p.Report(Finding{
-				Pos:     p.Position(src.pos),
-				Rule:    "dettaint",
-				Message: "banned nondeterminism source on the sim path: " + chainString(chain, src.desc) + suffix,
-				Entry:   p.Position(entryPos),
-			})
-		}
-	}
-}
-
-// taintSources scans one declared function (function literals included) for
-// banned constructs.
-func taintSources(p *ModulePass, fi *FuncInfo) []taintSource {
-	var out []taintSource
-
-	// Call-shaped sources come from the call graph's external-call table.
-	for _, ext := range p.Graph.External[fi] {
-		pkg := ext.Fn.Pkg()
-		if pkg == nil {
-			continue
-		}
-		switch {
-		case isRandPath(pkg.Path()):
-			if fi.Pkg.Rel == "internal/rng" {
+		for _, src := range bannedSources {
+			if src.rule == DetRand && fi.Rel() == randHome {
 				continue // the sanctioned wrapper
 			}
-			out = append(out, taintSource{
-				fn:     fi,
-				pos:    ext.Pos,
-				desc:   "rand." + ext.Fn.Name() + " (unseeded math/rand)",
-				v1rule: DetRand.Name,
-				// detrand is module-wide outside internal/rng.
-				v1covered: DetRand.AppliesTo(fi.Pkg.Rel),
-			})
-		case pkg.Path() == "time" && wallClockIdents[ext.Fn.Name()]:
-			out = append(out, taintSource{
-				fn:        fi,
-				pos:       ext.Pos,
-				desc:      "time." + ext.Fn.Name() + " (wall clock)",
-				v1rule:    WallClock.Name,
-				v1covered: true, // wallclock is module-wide
-			})
-		}
-	}
-
-	// Map-range sources need the statement tail for the collect-then-sort
-	// idiom, so walk statement lists rather than bare nodes.
-	info := p.Mod.Info
-	check := func(stmts []ast.Stmt) {
-		for i, stmt := range stmts {
-			rs, ok := unlabel(stmt).(*ast.RangeStmt)
-			if !ok {
-				continue
+			covered := src.rule.AppliesTo(fi.Rel())
+			for _, s := range src.detect(p.Mod.Info, fi.Decl.Body) {
+				if covered && (!p.SuppressedAt(src.rule.Name, s.pos) || src.reviewsContent) {
+					// Either the package-scoped rule reports this site
+					// (one finding per construct), or its suppression
+					// reviewed the loop's content, which reachability
+					// does not invalidate.
+					continue
+				}
+				chain := reach.Chain(fi)
+				entryPos := s.pos
+				if len(chain) > 1 && chain[0].Pos.IsValid() {
+					entryPos = chain[0].Pos
+				}
+				suffix := ""
+				if covered {
+					suffix = " (site-local suppression reviewed it as outside the sim path; this chain is the sim path)"
+				}
+				p.Report(Finding{
+					Pos:     p.Position(s.pos),
+					Rule:    p.Rule.Name,
+					Message: "banned nondeterminism source on the sim path: " + chainString(chain, fmt.Sprintf(src.desc, s.expr)) + suffix,
+					Entry:   p.Position(entryPos),
+				})
 			}
-			t := info.TypeOf(rs.X)
-			if t == nil {
-				continue
-			}
-			if _, isMap := t.Underlying().(*types.Map); !isMap {
-				continue
-			}
-			if orderInsensitive(rs.Body.List, rs) || collectedAndSorted(rs, stmts[i+1:]) {
-				continue
-			}
-			out = append(out, taintSource{
-				fn:        fi,
-				pos:       rs.Pos(),
-				desc:      "order-sensitive range over map " + exprString(rs.X),
-				v1rule:    MapIter.Name,
-				v1covered: SimPath(fi.Pkg.Rel),
-			})
-		}
-	}
-	ast.Inspect(fi.Decl.Body, func(n ast.Node) bool {
-		switch s := n.(type) {
-		case *ast.BlockStmt:
-			check(s.List)
-		case *ast.CaseClause:
-			check(s.Body)
-		case *ast.CommClause:
-			check(s.Body)
-		}
-		return true
-	})
-
-	sortSources(out)
-	return out
-}
-
-func unlabel(stmt ast.Stmt) ast.Stmt {
-	for {
-		ls, ok := stmt.(*ast.LabeledStmt)
-		if !ok {
-			return stmt
-		}
-		stmt = ls.Stmt
-	}
-}
-
-func sortSources(srcs []taintSource) {
-	// Stable report order inside one function: by position.
-	for i := 1; i < len(srcs); i++ {
-		for j := i; j > 0 && srcs[j].pos < srcs[j-1].pos; j-- {
-			srcs[j], srcs[j-1] = srcs[j-1], srcs[j]
 		}
 	}
 }

@@ -377,7 +377,7 @@ const (
 	effWriteShared effKind = iota
 	// effIO is an input/output call (fmt printing, os, log, …).
 	effIO
-	// effBanned is a banned nondeterminism call (math/rand, wall clock).
+	// effBanned is a banned nondeterminism source (math/rand, wall clock).
 	effBanned
 	// effDynamic is a call through a function value no module function
 	// matches: unanalyzable, treated as arbitrary effects.
@@ -504,16 +504,23 @@ func (ef *effects) summarize(fi *FuncInfo) ([]effect, int) {
 		})
 	}
 
-	// External (standard-library) calls: I/O, banned sources, and
-	// writes through pointer-shaped arguments.
+	// Banned nondeterminism sources, from the same detectors detrand,
+	// wallclock and dettaint use.
+	var banned []site
+	if fi.Rel() != randHome {
+		banned = randUses(ef.mod.Info, fi.Decl.Body)
+	}
+	for _, s := range append(banned, wallClockReads(ef.mod.Info, fi.Decl.Body)...) {
+		add(effect{kind: effBanned, pos: s.pos, desc: "uses " + s.expr + " (banned nondeterminism source)", originRel: fi.Pkg.Rel})
+	}
+
+	// External (standard-library) calls: I/O and writes through
+	// pointer-shaped arguments.
 	sites := ef.callSites(fi)
 	for _, ext := range ef.graph.External[fi] {
 		name := extDisplayName(ext.Fn)
-		switch {
-		case isIOFunc(ext.Fn):
+		if isIOFunc(ext.Fn) {
 			add(effect{kind: effIO, pos: ext.Pos, desc: "calls " + name + " (I/O)", originRel: fi.Pkg.Rel})
-		case isBannedFunc(ext.Fn) && fi.Pkg.Rel != "internal/rng":
-			add(effect{kind: effBanned, pos: ext.Pos, desc: "calls " + name + " (banned nondeterminism source)", originRel: fi.Pkg.Rel})
 		}
 		call := sites[ext.Pos]
 		if call == nil {
@@ -708,17 +715,4 @@ func isIOFunc(fn *types.Func) bool {
 		}
 	}
 	return false
-}
-
-// isBannedFunc reports whether the external function is a banned
-// nondeterminism source (math/rand, wall-clock reads).
-func isBannedFunc(fn *types.Func) bool {
-	pkg := fn.Pkg()
-	if pkg == nil {
-		return false
-	}
-	if isRandPath(pkg.Path()) {
-		return true
-	}
-	return pkg.Path() == "time" && wallClockIdents[fn.Name()]
 }

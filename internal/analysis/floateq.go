@@ -3,6 +3,7 @@ package analysis
 import (
 	"go/ast"
 	"go/token"
+	"go/types"
 )
 
 // FloatEq flags == and != between floating-point expressions in the value
@@ -15,7 +16,7 @@ import (
 // last ulp depending on evaluation order, flipping tie adjudication and
 // with it the packing. Compare integer-scaled values, or use an explicit
 // epsilon when a float comparison is genuinely intended.
-var FloatEq = &Analyzer{
+var FloatEq = &Rule{
 	Name: "floateq",
 	Doc: "flag ==/!= between floating-point expressions in value/packing " +
 		"packages; use integer-scaled values or an explicit epsilon",
@@ -30,20 +31,25 @@ var FloatEq = &Analyzer{
 }
 
 func runFloatEq(pass *Pass) {
-	for _, file := range pass.Pkg.Files {
-		walkFuncs(pass, file, func(env *Env, body *ast.BlockStmt) {
-			ast.Inspect(body, func(n ast.Node) bool {
-				be, ok := n.(*ast.BinaryExpr)
-				if !ok || (be.Op != token.EQL && be.Op != token.NEQ) {
-					return true
-				}
-				if env.IsFloat(be.X) || env.IsFloat(be.Y) {
-					pass.Reportf("floateq", be.OpPos,
-						"floating-point %s comparison (%s %s %s); compare integer-scaled values or use an epsilon",
-						be.Op, exprString(be.X), be.Op, exprString(be.Y))
-				}
+	info := pass.Mod.Info
+	for _, file := range pass.Files() {
+		ast.Inspect(file, func(n ast.Node) bool {
+			be, ok := n.(*ast.BinaryExpr)
+			if !ok || (be.Op != token.EQL && be.Op != token.NEQ) {
 				return true
-			})
+			}
+			if isFloat(info.TypeOf(be.X)) || isFloat(info.TypeOf(be.Y)) {
+				pass.Reportf(be.OpPos,
+					"floating-point %s comparison (%s %s %s); compare integer-scaled values or use an epsilon",
+					be.Op, exprString(be.X), be.Op, exprString(be.Y))
+			}
+			return true
 		})
 	}
+}
+
+// isFloat reports whether t is a (named or untyped) floating-point type.
+func isFloat(t types.Type) bool {
+	b, ok := t.Underlying().(*types.Basic)
+	return ok && b.Info()&types.IsFloat != 0
 }

@@ -24,16 +24,6 @@ type Package struct {
 	// Lines maps each parsed file name to its source lines, so directive
 	// handling can tell a trailing comment from a standalone one.
 	Lines map[string][]string
-
-	index *Index
-}
-
-// Index returns the package's heuristic type index, built on first use.
-func (p *Package) Index() *Index {
-	if p.index == nil {
-		p.index = BuildIndex(p.Files)
-	}
-	return p.index
 }
 
 // LoadDir parses every non-test .go file directly in dir into a Package

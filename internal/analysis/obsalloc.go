@@ -3,7 +3,7 @@ package analysis
 import (
 	"go/ast"
 	"go/token"
-	"strconv"
+	"go/types"
 )
 
 // ObsAlloc enforces the zero-alloc-when-disabled observability contract at
@@ -30,13 +30,14 @@ import (
 //   - fmt.Sprint/Sprintf/Sprintln anywhere in an unguarded Emit call's
 //     arguments — string formatting allocates regardless of arity.
 //
-// Guard detection is textual, matching the suite's no-type-checker design:
-// an enclosing `if x != nil { ... }` (including `&&` conjunctions) guards
-// every Emit whose receiver prints as x. Disjunctions (`||`) guarantee
+// Guard detection is syntactic: an enclosing `if x != nil { ... }`
+// (including `&&` conjunctions) guards every Emit whose receiver is
+// spelled x. The formatting calls are resolved through go/types, so an
+// aliased fmt import is still caught. Disjunctions (`||`) guarantee
 // nothing and do not count. Nil-safe metric handles (Counter.Inc,
 // Histogram.Observe) are method calls on non-variadic receivers and stay
 // unflagged: they allocate nothing when disabled.
-var ObsAlloc = &Analyzer{
+var ObsAlloc = &Rule{
 	Name: "obsalloc",
 	Doc: "instrumentation call-sites must not allocate when observability is " +
 		"disabled; wrap field-carrying Emit calls in their receiver's nil guard",
@@ -49,14 +50,7 @@ var ObsAlloc = &Analyzer{
 const emitFixedArgs = 3
 
 func runObsAlloc(pass *Pass) {
-	for _, file := range pass.Pkg.Files {
-		fmtName := "fmt"
-		for _, imp := range file.Imports {
-			if path, _ := strconv.Unquote(imp.Path.Value); path == "fmt" && imp.Name != nil {
-				fmtName = imp.Name.Name
-			}
-		}
-
+	for _, file := range pass.Files() {
 		// Pass 1: collect the body ranges guarded by a receiver nil-check.
 		type guardRange struct {
 			recv     string
@@ -97,7 +91,7 @@ func runObsAlloc(pass *Pass) {
 				return true
 			}
 			if len(call.Args) > emitFixedArgs {
-				pass.Reportf("obsalloc", call.Pos(),
+				pass.Reportf(call.Pos(),
 					"%s.Emit builds its field slice even when observability is off; wrap the call in `if %s != nil`",
 					recv, recv)
 			}
@@ -107,13 +101,12 @@ func runObsAlloc(pass *Pass) {
 					if !ok {
 						return true
 					}
-					if s, ok := c.Fun.(*ast.SelectorExpr); ok {
-						if id, ok := s.X.(*ast.Ident); ok && id.Name == fmtName &&
-							(s.Sel.Name == "Sprintf" || s.Sel.Name == "Sprint" || s.Sel.Name == "Sprintln") {
-							pass.Reportf("obsalloc", c.Pos(),
-								"%s.%s allocates inside an unguarded %s.Emit; format under `if %s != nil` only",
-								fmtName, s.Sel.Name, recv, recv)
-						}
+					fn, ok := calleeObject(pass.Mod.Info, c.Fun).(*types.Func)
+					if ok && fn.Pkg() != nil && fn.Pkg().Path() == "fmt" &&
+						(fn.Name() == "Sprintf" || fn.Name() == "Sprint" || fn.Name() == "Sprintln") {
+						pass.Reportf(c.Pos(),
+							"%s allocates inside an unguarded %s.Emit; format under `if %s != nil` only",
+							exprString(c.Fun), recv, recv)
 					}
 					return true
 				})

@@ -33,12 +33,13 @@ import (
 )
 
 // PureSelect is the whole-program purity rule.
-var PureSelect = &WholeAnalyzer{
+var PureSelect = &Rule{
 	Name: "pureselect",
 	Doc: "require classad.Match and every Policy-style Select implementation " +
 		"to be observably pure (no escaping writes, I/O, or nondeterminism " +
 		"sources, transitively); Select may draw from internal/rng",
-	Run: runPureSelect,
+	AppliesTo: allPackages,
+	Run:       runPureSelect,
 }
 
 // pureTarget is one function held to the purity contract.
@@ -51,8 +52,8 @@ type pureTarget struct {
 	why string
 }
 
-func runPureSelect(p *ModulePass) {
-	ef := newEffects(p.Mod, p.Graph)
+func runPureSelect(p *Pass) {
+	ef := newEffects(p.Mod, p.Graph())
 
 	var targets []pureTarget
 	seen := map[*FuncInfo]bool{}
@@ -68,7 +69,7 @@ func runPureSelect(p *ModulePass) {
 			add(pureTarget{fi: fi, why: "classad.Match verdicts are memoized per autocluster"})
 		}
 	}
-	for _, fi := range selectImpls(p.Graph) {
+	for _, fi := range selectImpls(p.Graph()) {
 		add(pureTarget{fi: fi, exemptRNG: true,
 			why: "policy Select must replay from (arguments, policy RNG) alone"})
 	}
@@ -84,7 +85,7 @@ func runPureSelect(p *ModulePass) {
 			}
 			p.Report(Finding{
 				Pos:     p.Position(e.pos),
-				Rule:    "pureselect",
+				Rule:    p.Rule.Name,
 				Message: funcDisplayName(t.fi) + " must be observably pure (" + t.why + ") but " + e.desc,
 				Entry:   entry,
 			})

@@ -3,7 +3,7 @@ package analysis
 import (
 	"go/ast"
 	"go/token"
-	"strconv"
+	"go/types"
 )
 
 // SimGoroutine forbids host concurrency in sim-path packages: goroutines,
@@ -20,7 +20,7 @@ import (
 // is serial and has no goroutines of its own. A genuinely host-side site
 // carries a per-line //philint:ignore simgoroutine <reason> directive so
 // each use is individually reviewed.
-var SimGoroutine = &Analyzer{
+var SimGoroutine = &Rule{
 	Name: "simgoroutine",
 	Doc: "forbid goroutines, channels, select, and sync primitives in sim-path " +
 		"packages; simulated concurrency is scheduled events on the serial engine",
@@ -29,64 +29,41 @@ var SimGoroutine = &Analyzer{
 }
 
 func runSimGoroutine(pass *Pass) {
-	for _, file := range pass.Pkg.Files {
-		// Selector-based detection for the sync and sync/atomic packages,
-		// keyed on this file's import names (mirrors the wallclock rule).
-		syncNames := map[string]string{}
-		for _, imp := range file.Imports {
-			path, _ := strconv.Unquote(imp.Path.Value)
-			if path != "sync" && path != "sync/atomic" {
-				continue
-			}
-			name := path
-			if path == "sync/atomic" {
-				name = "atomic"
-			}
-			if imp.Name != nil {
-				name = imp.Name.Name
-			}
-			if name != "_" && name != "." {
-				syncNames[name] = path
-			}
-		}
+	for _, file := range pass.Files() {
 		ast.Inspect(file, func(n ast.Node) bool {
 			switch v := n.(type) {
 			case *ast.GoStmt:
-				pass.Reportf("simgoroutine", v.Pos(),
+				pass.Reportf(v.Pos(),
 					"go statement spawns a host goroutine; schedule an event on the engine instead")
 			case *ast.SendStmt:
-				pass.Reportf("simgoroutine", v.Pos(),
+				pass.Reportf(v.Pos(),
 					"channel send synchronizes through the host scheduler; pass results via scheduled callbacks")
 			case *ast.UnaryExpr:
 				if v.Op == token.ARROW {
-					pass.Reportf("simgoroutine", v.Pos(),
+					pass.Reportf(v.Pos(),
 						"channel receive blocks on the host scheduler; pass results via scheduled callbacks")
 				}
 			case *ast.SelectStmt:
-				pass.Reportf("simgoroutine", v.Pos(),
+				pass.Reportf(v.Pos(),
 					"select races host goroutines; event ordering must come from the engine's (time, seq) queue")
 			case *ast.ChanType:
-				pass.Reportf("simgoroutine", v.Pos(),
+				pass.Reportf(v.Pos(),
 					"channel type in a sim-path component; simulated hand-offs are scheduled events, not channels")
 			case *ast.SelectorExpr:
+				// Package-qualified names only (sync.Mutex,
+				// atomic.AddInt64): the type or call that introduces the
+				// primitive is the finding, not each method on it.
 				if id, ok := v.X.(*ast.Ident); ok {
-					if path, hit := syncNames[id.Name]; hit {
-						pass.Reportf("simgoroutine", v.Pos(),
-							"%s.%s guards against host concurrency; sim-path state is only touched from engine callbacks, on one goroutine",
-							pkgBase(path), v.Sel.Name)
+					if pn, ok := pass.Mod.Info.Uses[id].(*types.PkgName); ok {
+						if path := pn.Imported().Path(); path == "sync" || path == "sync/atomic" {
+							pass.Reportf(v.Pos(),
+								"%s.%s guards against host concurrency; sim-path state is only touched from engine callbacks, on one goroutine",
+								pn.Imported().Name(), v.Sel.Name)
+						}
 					}
 				}
 			}
 			return true
 		})
 	}
-}
-
-func pkgBase(path string) string {
-	for i := len(path) - 1; i >= 0; i-- {
-		if path[i] == '/' {
-			return path[i+1:]
-		}
-	}
-	return path
 }

@@ -3,6 +3,7 @@ package analysis
 import (
 	"go/ast"
 	"go/token"
+	"go/types"
 )
 
 // SortStable flags sort.Slice calls whose comparator can produce ties in
@@ -20,7 +21,7 @@ import (
 // whole-element comparison `s[i] < s[j]` (equal elements are
 // interchangeable), and chained comparators (`… || …` / `… && …`), which
 // are taken as already carrying a tiebreak.
-var SortStable = &Analyzer{
+var SortStable = &Rule{
 	Name: "sortstable",
 	Doc: "flag sort.Slice with potentially tie-producing comparators in " +
 		"scheduling paths; use sort.SliceStable or a total-order tiebreak",
@@ -29,27 +30,25 @@ var SortStable = &Analyzer{
 }
 
 func runSortStable(pass *Pass) {
-	for _, file := range pass.Pkg.Files {
+	for _, file := range pass.Files() {
 		ast.Inspect(file, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok || len(call.Args) != 2 {
 				return true
 			}
-			sel, ok := call.Fun.(*ast.SelectorExpr)
-			if !ok || sel.Sel.Name != "Slice" {
-				return true
-			}
-			if id, ok := sel.X.(*ast.Ident); !ok || id.Name != "sort" {
+			// Resolved, not matched by name: an aliased import
+			// (s "sort"; s.Slice) is the same unstable sort.
+			if fn, ok := calleeObject(pass.Mod.Info, call.Fun).(*types.Func); !ok || fn.FullName() != "sort.Slice" {
 				return true
 			}
 			cmp, ok := call.Args[1].(*ast.FuncLit)
 			if !ok {
-				pass.Reportf("sortstable", call.Pos(),
+				pass.Reportf(call.Pos(),
 					"sort.Slice with an opaque comparator; use sort.SliceStable or prove the order total")
 				return true
 			}
 			if reason, tieProne := comparatorTieProne(call.Args[0], cmp); tieProne {
-				pass.Reportf("sortstable", call.Pos(),
+				pass.Reportf(call.Pos(),
 					"sort.Slice comparator %s; use sort.SliceStable or add a total-order tiebreak",
 					reason)
 			}

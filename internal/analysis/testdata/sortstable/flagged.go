@@ -1,11 +1,11 @@
 package fixture
 
 import "sort"
+import s "sort"
 
-type qjob struct {
-	value   int64
-	arrival int64
-}
+// qjob is a queued job: a priority value and an arrival time, neither of
+// them unique across the queue.
+type qjob struct{ value, arrival int64 }
 
 // flaggedSingleKey sorts by one key with unstable sort.Slice: jobs with
 // equal value land in pivot-dependent order.
@@ -24,3 +24,9 @@ func flaggedComplex(jobs []qjob) {
 }
 
 func rank(q qjob) int64 { return q.value*2 + q.arrival }
+
+// flaggedAliased reaches sort.Slice through an aliased import: the rule
+// resolves the callee, so the spelling does not hide it.
+func flaggedAliased(jobs []qjob) {
+	s.Slice(jobs, func(i, j int) bool { return jobs[i].arrival < jobs[j].arrival })
+}

@@ -1,10 +1,10 @@
 package analysis
 
-// Typed module loading: the whole-program rules (dettaint, pureselect) need
-// resolved types and cross-package call targets, which the per-file
-// heuristic Index cannot provide. TypeCheck runs the stdlib go/types
-// checker over every parsed package in dependency order, chaining to
-// go/importer for the standard library, so go.mod stays dependency-free.
+// Typed module loading: every rule reads resolved types, and the
+// whole-program rules (dettaint, pureselect) also follow cross-package call
+// targets. TypeCheck runs the stdlib go/types checker over every parsed
+// package in dependency order, chaining to go/importer for the standard
+// library, so go.mod stays dependency-free.
 
 import (
 	"fmt"

@@ -2,7 +2,7 @@ package analysis
 
 import (
 	"go/ast"
-	"strconv"
+	"go/types"
 )
 
 // WallClock forbids reading the host's clock. Simulated components must
@@ -16,7 +16,7 @@ import (
 // harness reporting how long the *experiment driver* took) carry a
 // per-line //philint:ignore wallclock annotation instead of a package
 // exemption, so each use is individually reviewed.
-var WallClock = &Analyzer{
+var WallClock = &Rule{
 	Name: "wallclock",
 	Doc: "forbid wall-clock reads (time.Now, time.Since, timers, sleeps); " +
 		"simulation code takes time from the sim.Engine clock",
@@ -24,10 +24,11 @@ var WallClock = &Analyzer{
 	Run:       runWallClock,
 }
 
-// wallClockIdents are the time-package identifiers that observe or wait on
+// wallClockFuncs are the time-package functions that observe or wait on
 // the host clock. Pure-value identifiers (time.Duration, time.Millisecond)
-// stay legal: they denote quantities, not clock reads.
-var wallClockIdents = map[string]bool{
+// and methods on time values (t.After(u), d.Seconds()) stay legal: they
+// denote or compare quantities, not clock reads.
+var wallClockFuncs = map[string]bool{
 	"Now":       true,
 	"Since":     true,
 	"Until":     true,
@@ -40,30 +41,25 @@ var wallClockIdents = map[string]bool{
 }
 
 func runWallClock(pass *Pass) {
-	for _, file := range pass.Pkg.Files {
-		timeName := ""
-		for _, imp := range file.Imports {
-			if path, _ := strconv.Unquote(imp.Path.Value); path == "time" {
-				timeName = "time"
-				if imp.Name != nil {
-					timeName = imp.Name.Name
-				}
-			}
+	for _, file := range pass.Files() {
+		for _, s := range wallClockReads(pass.Mod.Info, file) {
+			pass.Reportf(s.pos,
+				"%s reads the wall clock; simulation state must advance on the sim.Engine clock", s.expr)
 		}
-		if timeName == "" || timeName == "_" || timeName == "." {
-			continue
-		}
-		ast.Inspect(file, func(n ast.Node) bool {
-			sel, ok := n.(*ast.SelectorExpr)
-			if !ok {
-				return true
-			}
-			if id, ok := sel.X.(*ast.Ident); ok && id.Name == timeName && wallClockIdents[sel.Sel.Name] {
-				pass.Reportf("wallclock", sel.Pos(),
-					"%s.%s reads the wall clock; simulation state must advance on the sim.Engine clock",
-					timeName, sel.Sel.Name)
-			}
-			return true
-		})
 	}
+}
+
+// wallClockReads is the one wall-clock detector: every reference under n
+// to one of the time package's clock-reading functions, called or taken
+// as a value.
+func wallClockReads(info *types.Info, n ast.Node) []site {
+	var out []site
+	refs(info, n, func(ref ast.Expr, obj types.Object) {
+		fn, ok := obj.(*types.Func)
+		if ok && fn.Pkg() != nil && fn.Pkg().Path() == "time" &&
+			fn.Type().(*types.Signature).Recv() == nil && wallClockFuncs[fn.Name()] {
+			out = append(out, site{ref.Pos(), exprString(ref)})
+		}
+	})
+	return out
 }

@@ -8,16 +8,6 @@ import (
 	"testing"
 )
 
-// runWhole drives one whole-program analyzer over a fixture module with no
-// suppression directives, the primitive behind the rule goldens.
-func runWhole(mod *Module, wa *WholeAnalyzer) []Finding {
-	var findings []Finding
-	mp := &ModulePass{Mod: mod, Graph: BuildGraph(mod), findings: &findings}
-	wa.Run(mp)
-	sortFindings(findings)
-	return findings
-}
-
 // renderEntries renders findings like render, plus the entry attribution
 // whole-program findings carry.
 func renderEntries(findings []Finding) string {
@@ -50,22 +40,22 @@ func compareGolden(t *testing.T, goldenPath, got string) {
 	}
 }
 
-// TestDetTaintWholeProgram is the acceptance fixture for the typed engine:
-// the banned constructs sit two hops from the sim-path entry, through a
-// helper in another package. The per-file suite passes the fixture clean;
-// the whole-program gate reports them with chain and entry attribution.
+// TestDetTaintWholeProgram is the acceptance fixture for dettaint: the
+// banned constructs sit two hops from the sim-path entry, through a helper
+// in another package. The package-scoped rules pass the fixture clean; the
+// whole-program gate reports them with chain and entry attribution.
 func TestDetTaintWholeProgram(t *testing.T) {
 	dir := filepath.Join("testdata", "dettaint")
 	_, pkgs := loadFixtureModule(t, dir)
 
-	// The old per-file suite is structurally blind here: mapiter is out of
-	// scope in internal/estimator, and the wallclock site carries a local
-	// suppression.
-	if v1 := Lint(pkgs, Analyzers()); len(v1) != 0 {
-		t.Fatalf("per-file suite should pass this fixture clean, got:\n%s", render(v1))
+	// The package-scoped rules are structurally blind here: mapiter is out
+	// of scope in internal/estimator, and the wallclock site carries a
+	// local suppression.
+	if v1 := Lint(pkgs, packageRules()); len(v1) != 0 {
+		t.Fatalf("package-scoped rules should pass this fixture clean, got:\n%s", render(v1))
 	}
 
-	got := renderEntries(LintAll(pkgs, Analyzers(), WholeAnalyzers()))
+	got := renderEntries(Lint(pkgs, Rules()))
 	compareGolden(t, filepath.Join(dir, "expect.txt"), got)
 
 	// The structural claims behind the golden, so a regenerated golden
@@ -93,7 +83,7 @@ func TestDetTaintWholeProgram(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw := renderEntries(runWhole(mod, DetTaint))
+	raw := renderEntries(runRaw(mod, DetTaint))
 	if !strings.Contains(raw, "estimator.Decay") || !strings.Contains(raw, "[entry core.go:26]") {
 		t.Errorf("raw dettaint should report the Decay chain with entry at core.go:26, got:\n%s", raw)
 	}
@@ -107,7 +97,7 @@ func TestPureSelectWholeProgram(t *testing.T) {
 	dir := filepath.Join("testdata", "pureselect")
 	mod, _ := loadFixtureModule(t, dir)
 
-	findings := runWhole(mod, PureSelect)
+	findings := runRaw(mod, PureSelect)
 	got := renderEntries(findings)
 	compareGolden(t, filepath.Join(dir, "expect.txt"), got)
 
