@@ -121,8 +121,8 @@ benchgate:
 # {MC, MCC, MCCK} × {light, heavy} under the invariant checker and the race
 # detector. A failure prints a reproducible (seed, profile, policy) triple.
 # STREAM_CHAOS_SEEDS sizes the streaming leg: every one of its faulted
-# diurnal cells runs twice (checked retained, then emit-and-drop streaming)
-# and the online aggregates must match bit for bit.
+# diurnal cells runs twice (retained, then emit-and-drop streaming, both
+# under the checker) and the online aggregates must match bit for bit.
 STREAM_CHAOS_SEEDS ?= 10
 
 chaos:

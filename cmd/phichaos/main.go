@@ -16,10 +16,12 @@
 // checked exactly where it is most likely to break.
 //
 // With -stream the swarm instead runs faulted diurnal cells twice each —
-// retained under the invariant checker, then in emit-and-drop streaming
-// mode — and any divergence between the two runs' online aggregates
-// (summary, per-tenant fairness, stretch, footprint marks) is a failure:
-// the adversarial version of the streaming-equivalence guarantee.
+// retained, then in emit-and-drop streaming mode, both under the invariant
+// checker — and any violation in either run or any divergence between
+// their online aggregates (summary, per-tenant fairness, stretch,
+// footprint marks) is a failure: the adversarial version of the
+// streaming-equivalence guarantee. -jobs sizes the diurnal cells only when
+// given explicitly; otherwise they keep their own default of 60 arrivals.
 //
 // Each failure prints a `FAIL seed=N profile=P policy=Q` triple followed by
 // the violations; replay one cell with the same workload flags plus
@@ -43,11 +45,11 @@ func main() {
 		seed0    = flag.Int64("seed0", 1, "first seed")
 		policies = flag.String("policies", "MC,MCC,MCCK", "comma-separated policies")
 		profiles = flag.String("profiles", "light,heavy", "comma-separated fault profiles (none,light,heavy)")
-		jobs     = flag.Int("jobs", 18, "Table I jobs per run")
+		jobs     = flag.Int("jobs", 18, "Table I jobs per run (with -stream: diurnal arrivals per cell, default 60)")
 		nodes    = flag.Int("nodes", 3, "cluster nodes per run")
 		retries  = flag.Int("retries", 4, "crash retry budget per job")
 		diff     = flag.Bool("diff", false, "replay every cell on the reference paths, diffing outcomes bit-for-bit")
-		stream   = flag.Bool("stream", false, "run faulted diurnal cells in streaming record mode and diff their aggregates against checked retained runs")
+		stream   = flag.Bool("stream", false, "run faulted diurnal cells retained and in streaming record mode, both checked, and diff their aggregates")
 		verbose  = flag.Bool("v", false, "print progress lines")
 	)
 	flag.Parse()
@@ -68,9 +70,15 @@ func main() {
 			Seed0:    *seed0,
 			Policies: strings.Split(*policies, ","),
 			Profiles: profs,
+			Jobs:     experiments.StreamChaosJobs,
 			Nodes:    *nodes,
 			Retries:  *retries,
 		}
+		flag.Visit(func(f *flag.Flag) {
+			if f.Name == "jobs" {
+				scfg.Jobs = *jobs
+			}
+		})
 		if *verbose {
 			scfg.Logf = func(format string, args ...any) {
 				fmt.Printf(format+"\n", args...)
@@ -79,14 +87,14 @@ func main() {
 		failures := experiments.StreamChaosSwarm(scfg)
 		runs := *seeds * len(scfg.Policies) * len(profs)
 		if len(failures) == 0 {
-			fmt.Printf("phichaos: %d streaming cells clean (%d seeds x %d policies x %d profiles, diurnal cells on %d nodes)\n",
-				runs, *seeds, len(scfg.Policies), len(profs), *nodes)
+			fmt.Printf("phichaos: %d streaming cells clean (%d seeds x %d policies x %d profiles, %d-arrival diurnal cells on %d nodes)\n",
+				runs, *seeds, len(scfg.Policies), len(profs), scfg.Jobs, *nodes)
 			return
 		}
 		for _, f := range failures {
 			fmt.Println(f)
-			fmt.Printf("  replay: phichaos -stream -seeds 1 -seed0 %d -profiles %s -policies %s -nodes %d -retries %d\n",
-				f.Seed, f.Profile, f.Policy, *nodes, *retries)
+			fmt.Printf("  replay: phichaos -stream -seeds 1 -seed0 %d -profiles %s -policies %s -jobs %d -nodes %d -retries %d\n",
+				f.Seed, f.Profile, f.Policy, scfg.Jobs, *nodes, *retries)
 		}
 		fmt.Printf("phichaos: %d/%d streaming cells FAILED\n", len(failures), runs)
 		os.Exit(1)

@@ -12,9 +12,12 @@
 // Workloads: tableI (the paper's real application mix) or one of the
 // synthetic distributions uniform, normal, low-skew, high-skew.
 //
-// The observability flags (-events, -metrics, -series, -dashboard,
-// -eventlog) attach the internal/obs layer to the run and export its
-// artifacts; instrumentation never changes simulated outcomes. -perfetto
+// The observability flags (-events, -metrics, -series, -dashboard) attach
+// the internal/obs layer to the run and export its artifacts;
+// instrumentation never changes simulated outcomes. -eventlog (the condor
+// user log) and -trace/-svg (the offload timeline) read the same trace
+// event stream, retaining nothing else when they are all that was asked
+// for. -perfetto
 // exports causal job spans as a Chrome trace-event file for ui.perfetto.dev,
 // -critpath writes the critical-path makespan attribution, and
 // -stream-events traces arbitrarily large runs in bounded memory by
@@ -91,7 +94,6 @@ func main() {
 		jobs = workload.Generate(workload.Config{Dist: d, N: *njobs, Seed: *seed})
 	}
 
-	var rec *trace.Recorder
 	runCfg := experiments.RunConfig{
 		Policy:         *policy,
 		Nodes:          *nodes,
@@ -99,27 +101,38 @@ func main() {
 		Jobs:           jobs,
 		Seed:           *seed,
 	}
-	if *traceOut != "" || *svgOut != "" {
-		rec = trace.NewRecorder()
-		runCfg.Trace = rec
-	}
+	// The offload timeline and the user log are consumers of the run's
+	// trace; when they are all that was asked for, the trace streams to
+	// them and retains nothing.
+	exports := *eventsOut != "" || *metricsOut != "" || *seriesOut != "" || *dashOut != "" ||
+		*perfetto != "" || *critpath != "" || *streamOut != ""
 	var o *obs.Observer
-	if *eventsOut != "" || *metricsOut != "" || *seriesOut != "" || *dashOut != "" ||
-		*perfetto != "" || *critpath != "" || *streamOut != "" {
+	if exports || *traceOut != "" || *svgOut != "" || *eventlog != "" {
 		o = obs.New()
 		o.SampleInterval = units.Tick(*sampleSec * float64(units.Second))
+		o.Trace.SetStreaming(!exports)
 		runCfg.Obs = o
+	}
+	var rec *trace.Recorder
+	if *traceOut != "" || *svgOut != "" {
+		rec = trace.NewRecorder(jobs)
+		o.Trace.AddConsumer(rec)
+	}
+	var elog *condor.EventLog
+	if *eventlog != "" {
+		elog = condor.NewEventLog()
+		o.Trace.AddConsumer(elog)
 	}
 	// Spans assemble from the live canonical stream, so -perfetto/-critpath
 	// work even when -stream-events drops the trace after emission.
 	var spanB *obs.SpanBuilder
-	if o != nil && (*perfetto != "" || *critpath != "") {
+	if *perfetto != "" || *critpath != "" {
 		spanB = obs.NewSpanBuilder()
 		o.Trace.AddConsumer(spanB)
 	}
 	var streamFile *os.File
 	var stream *obs.StreamSink
-	if o != nil && *streamOut != "" {
+	if *streamOut != "" {
 		f, err := os.Create(*streamOut)
 		if err != nil {
 			log.Fatalf("create %s: %v", *streamOut, err)
@@ -127,11 +140,6 @@ func main() {
 		streamFile = f
 		stream = o.StreamEvents(f)
 		*eventsOut = "" // nothing retained to dump post-hoc
-	}
-	var elog *condor.EventLog
-	if *eventlog != "" {
-		elog = condor.NewEventLog()
-		runCfg.EventLog = elog
 	}
 	res := experiments.Run(runCfg)
 

@@ -12,6 +12,8 @@ import (
 
 	"phishare/internal/cluster"
 	"phishare/internal/coi"
+	"phishare/internal/job"
+	"phishare/internal/obs"
 	"phishare/internal/runner"
 	"phishare/internal/sim"
 	"phishare/internal/trace"
@@ -49,18 +51,22 @@ func main() {
 	// Execute two instances concurrently on one coprocessor: their
 	// 120-thread kernels overlap (the Fig. 3 effect) while their DMA
 	// shares the PCIe link.
-	eng := sim.New()
-	clu := cluster.New(eng, cluster.Config{Nodes: 1, UseCosmic: true, Seed: 1})
-	rec := trace.NewRecorder()
-	clu.Units[0].Device.Trace = rec
-
-	var makespan units.Tick
+	var insts []*job.Job
 	for id := 1; id <= 2; id++ {
 		inst, err := prog.Lower(id)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
+		insts = append(insts, inst)
+	}
+	eng := sim.New()
+	clu := cluster.New(eng, cluster.Config{Nodes: 1, UseCosmic: true, Seed: 1})
+	rec := trace.NewRecorder(insts)
+	clu.Units[0].Device.SetObserver(obs.Streaming(rec))
+
+	var makespan units.Tick
+	for _, inst := range insts {
 		runner.Run(eng, clu.Units[0], inst, func(runner.Result) {
 			if eng.Now() > makespan {
 				makespan = eng.Now()

@@ -431,8 +431,6 @@ type Pool struct {
 	// NegFaults, if set, injects negotiator perturbations (see
 	// NegotiationFaults). Nil in every non-chaos run.
 	NegFaults NegotiationFaults
-	// Log, if set, records job lifecycle events (HTCondor's user log).
-	Log *EventLog
 
 	// Observability (SetObserver). Instrument handles are resolved once at
 	// wiring time; every hot-path site pays a nil check when disabled.
@@ -615,7 +613,8 @@ func (p *Pool) Machines() []*Machine { return p.machines }
 // must not reorder it.
 func (p *Pool) Pending() []*QueuedJob { return p.pending }
 
-// Jobs returns every submitted job.
+// Jobs returns every submitted job (none on a streaming pool, which drops
+// terminal jobs and never retains active ones here).
 func (p *Pool) Jobs() []*QueuedJob { return p.jobs }
 
 // Stats returns activity counters.
@@ -663,10 +662,16 @@ func (p *Pool) SubmitAs(user string, jobs []*job.Job, priority int) {
 			p.jobs = append(p.jobs, q)
 		}
 		p.insertPending(q)
-		p.record(EventSubmit, q, "")
 		if p.obs != nil {
-			p.obs.Emit(p.eng.Now(), obs.LayerCondor, "submit",
-				obs.F("job", q.Job.ID))
+			// The user rides on submit only, and only when there is one, so
+			// single-user traces carry no user field at all.
+			if q.User == "" {
+				p.obs.Emit(p.eng.Now(), obs.LayerCondor, "submit",
+					obs.F("job", q.Job.ID))
+			} else {
+				p.obs.Emit(p.eng.Now(), obs.LayerCondor, "submit",
+					obs.F("job", q.Job.ID), obs.F("user", q.User))
+			}
 		}
 	}
 	p.requestNegotiation(p.cfg.NotifyDelay)
@@ -994,7 +999,6 @@ func (p *Pool) finishCycle(matched int) {
 			q.EndTime = p.eng.Now()
 			p.noteEnd(q.EndTime)
 			p.stats.Stalled++
-			p.record(EventStallAbort, q, "")
 			if p.obs != nil {
 				p.obs.Emit(p.eng.Now(), obs.LayerCondor, "stall_abort",
 					obs.F("job", q.Job.ID))
@@ -1085,7 +1089,6 @@ func (p *Pool) claim(q *QueuedJob, m *Machine) {
 	if p.inFlight > p.peakInFlight {
 		p.peakInFlight = p.inFlight
 	}
-	p.record(EventMatch, q, m.Name)
 	p.obsMatch.Inc()
 	if p.obs != nil {
 		p.obs.Emit(p.eng.Now(), obs.LayerCondor, "match",
@@ -1100,7 +1103,6 @@ func (p *Pool) claim(q *QueuedJob, m *Machine) {
 			q.StartTime = p.eng.Now()
 		}
 		q.runStart = p.eng.Now()
-		p.record(EventExecute, q, m.Name)
 		if p.obs != nil {
 			p.obs.Emit(p.eng.Now(), obs.LayerCondor, "execute",
 				obs.F("job", q.Job.ID), obs.F("machine", m.Name))
@@ -1128,7 +1130,6 @@ func (p *Pool) jobDone(q *QueuedJob, m *Machine, r runner.Result) {
 
 	if r.Outcome == runner.Crashed {
 		q.Crashes++
-		p.record(EventCrash, q, m.Name)
 		if p.obs != nil {
 			p.obs.Emit(p.eng.Now(), obs.LayerCondor, "crash",
 				obs.F("job", q.Job.ID), obs.F("machine", m.Name),
@@ -1139,7 +1140,6 @@ func (p *Pool) jobDone(q *QueuedJob, m *Machine, r runner.Result) {
 			p.policy.PrepareJobAd(q) // reset Requirements for a fresh match
 			p.insertPending(q)
 			p.stats.Resubmits++
-			p.record(EventResubmit, q, "")
 			if p.obs != nil {
 				p.obs.Emit(p.eng.Now(), obs.LayerCondor, "resubmit",
 					obs.F("job", q.Job.ID))
@@ -1150,7 +1150,6 @@ func (p *Pool) jobDone(q *QueuedJob, m *Machine, r runner.Result) {
 		q.State = Failed
 	} else {
 		q.State = Completed
-		p.record(EventTerminate, q, m.Name)
 		if p.obs != nil {
 			p.obs.Emit(p.eng.Now(), obs.LayerCondor, "terminate",
 				obs.F("job", q.Job.ID), obs.F("machine", m.Name))
@@ -1223,11 +1222,6 @@ func (p *Pool) SetRecordSink(sink func(metrics.JobRecord)) {
 	}
 	p.recordSink = sink
 }
-
-// RetainsJobs reports whether the pool keeps terminal jobs resident (the
-// classic mode). Streaming pools return false; whole-queue consumers like
-// Records and the fault-invariant checker must not be pointed at them.
-func (p *Pool) RetainsJobs() bool { return p.recordSink == nil }
 
 // PeakPending is the high-water mark of the idle queue.
 func (p *Pool) PeakPending() int { return p.peakPending }

@@ -9,6 +9,7 @@ import (
 	"phishare/internal/condor"
 	"phishare/internal/core"
 	"phishare/internal/job"
+	"phishare/internal/obs"
 	"phishare/internal/rng"
 	"phishare/internal/scheduler"
 	"phishare/internal/sim"
@@ -602,10 +603,41 @@ func TestPoolStatus(t *testing.T) {
 	}
 }
 
+// attachLog registers a user log on the pool's trace, the way a run wires
+// one: a streaming observer whose only consumer is the log.
+func attachLog(p *condor.Pool) *condor.EventLog {
+	l := condor.NewEventLog()
+	p.SetObserver(obs.Streaming(l))
+	return l
+}
+
+// logEvents reads the whole log back through its CSV export.
+func logEvents(t *testing.T, l *condor.EventLog) []condor.Event {
+	t.Helper()
+	var buf strings.Builder
+	if err := l.WriteCSV(&buf); err != nil {
+		t.Fatal(err)
+	}
+	events, err := condor.ReadCSV(strings.NewReader(buf.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return events
+}
+
+func countKind(events []condor.Event, kind condor.EventKind) int {
+	n := 0
+	for _, e := range events {
+		if e.Kind == kind {
+			n++
+		}
+	}
+	return n
+}
+
 func TestEventLogLifecycle(t *testing.T) {
 	r := rig(scheduler.NewRandomPack(rng.New(20)), 1, true)
-	log := condor.NewEventLog()
-	r.pool.Log = log
+	log := attachLog(r.pool)
 	r.run(t, []*job.Job{mkJob(0, 500, 60, 1)})
 	hist := log.JobHistory(0)
 	wantOrder := []condor.EventKind{
@@ -630,32 +662,66 @@ func TestEventLogLifecycle(t *testing.T) {
 	}
 }
 
+// TestEventLogCarriesSubmitUser: the submit trace event names the job's
+// user only when it has one, and the log stamps that user on every later
+// event of the job.
+func TestEventLogCarriesSubmitUser(t *testing.T) {
+	r := rig(scheduler.NewRandomPack(rng.New(20)), 2, true)
+	log := condor.NewEventLog()
+	o := obs.New()
+	o.Trace.AddConsumer(log)
+	r.pool.SetObserver(o)
+	r.pool.SubmitAs("alice", []*job.Job{mkJob(0, 500, 60, 1)}, 0)
+	r.pool.Submit([]*job.Job{mkJob(1, 500, 60, 1)})
+	r.eng.Run()
+
+	for _, e := range o.Trace.Events() {
+		if e.Layer != obs.LayerCondor || e.Kind != "submit" {
+			continue
+		}
+		want := map[int]any{0: "alice", 1: nil}[e.Field("job").(int)]
+		if got := e.Field("user"); got != want {
+			t.Errorf("submit of job %v: user field %v, want %v", e.Field("job"), got, want)
+		}
+	}
+	for id, user := range map[int]string{0: "alice", 1: ""} {
+		hist := log.JobHistory(id)
+		if len(hist) != 4 {
+			t.Fatalf("job %d history %v", id, hist)
+		}
+		for _, e := range hist {
+			if e.User != user {
+				t.Errorf("job %d %v event: user %q, want %q", id, e.Kind, e.User, user)
+			}
+		}
+	}
+}
+
 func TestEventLogCrashPath(t *testing.T) {
 	eng := sim.New()
 	clu := cluster.New(eng, cluster.Config{Nodes: 1, UseCosmic: true, Seed: 1})
 	pool := condor.NewPool(eng, clu, scheduler.NewRandomPack(rng.New(21)),
 		condor.Config{MaxRetries: 1})
-	log := condor.NewEventLog()
-	pool.Log = log
+	log := attachLog(pool)
 	liar := mkJob(0, 500, 60, 1)
 	liar.ActualPeakMem = 900
 	pool.Submit([]*job.Job{liar})
 	eng.Run()
-	if log.Count(condor.EventCrash) != 2 {
-		t.Errorf("crashes logged %d, want 2", log.Count(condor.EventCrash))
+	events := logEvents(t, log)
+	if n := countKind(events, condor.EventCrash); n != 2 {
+		t.Errorf("crashes logged %d, want 2", n)
 	}
-	if log.Count(condor.EventResubmit) != 1 {
-		t.Errorf("resubmits logged %d, want 1", log.Count(condor.EventResubmit))
+	if n := countKind(events, condor.EventResubmit); n != 1 {
+		t.Errorf("resubmits logged %d, want 1", n)
 	}
-	if log.Count(condor.EventTerminate) != 0 {
+	if countKind(events, condor.EventTerminate) != 0 {
 		t.Error("terminate logged for a failed job")
 	}
 }
 
 func TestEventLogCSV(t *testing.T) {
 	r := rig(scheduler.NewExclusive(), 1, false)
-	log := condor.NewEventLog()
-	r.pool.Log = log
+	log := attachLog(r.pool)
 	r.run(t, []*job.Job{mkJob(0, 500, 60, 1)})
 	var buf strings.Builder
 	if err := log.WriteCSV(&buf); err != nil {
@@ -665,14 +731,9 @@ func TestEventLogCSV(t *testing.T) {
 	if lines[0] != "time_ms,event,job,user,machine" {
 		t.Errorf("header %q", lines[0])
 	}
-	if len(lines) != 1+len(log.Events()) {
-		t.Errorf("csv rows %d, events %d", len(lines)-1, len(log.Events()))
+	if len(lines) != 1+len(log.JobHistory(0)) {
+		t.Errorf("csv rows %d, events %d", len(lines)-1, len(log.JobHistory(0)))
 	}
-}
-
-func TestNilEventLogIsFree(t *testing.T) {
-	r := rig(scheduler.NewExclusive(), 1, false)
-	r.run(t, []*job.Job{mkJob(0, 500, 60, 1)}) // no Log attached: must not panic
 }
 
 // TestEventKindStringRoundTrip: every kind parses back from its string form,
@@ -703,8 +764,7 @@ func TestEventLogCSVRoundTrip(t *testing.T) {
 	clu := cluster.New(eng, cluster.Config{Nodes: 1, UseCosmic: true, Seed: 1})
 	pool := condor.NewPool(eng, clu, core.New(core.Config{}),
 		condor.Config{MaxRetries: 1})
-	log := condor.NewEventLog()
-	pool.Log = log
+	log := attachLog(pool)
 	liar := mkJob(0, 500, 60, 1)
 	liar.ActualPeakMem = 900
 	honest := mkJob(1, 400, 50, 1)
@@ -712,8 +772,9 @@ func TestEventLogCSVRoundTrip(t *testing.T) {
 	pool.Submit([]*job.Job{liar, honest, whale})
 	eng.Run()
 
+	got := logEvents(t, log)
 	seen := map[condor.EventKind]bool{}
-	for _, e := range log.Events() {
+	for _, e := range got {
 		seen[e.Kind] = true
 	}
 	for _, k := range condor.EventKinds() {
@@ -721,17 +782,23 @@ func TestEventLogCSVRoundTrip(t *testing.T) {
 			t.Fatalf("workload never produced %v; round trip would not cover it", k)
 		}
 	}
-
-	var buf strings.Builder
-	if err := log.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
+	// Every event read back belongs to exactly the history the log holds
+	// for its job, in order.
+	n := 0
+	for id := 0; id < 3; id++ {
+		var read []condor.Event
+		for _, e := range got {
+			if e.JobID == id {
+				read = append(read, e)
+			}
+		}
+		if want := log.JobHistory(id); !reflect.DeepEqual(read, want) {
+			t.Fatalf("job %d round trip mismatch:\nwrote %v\nread  %v", id, want, read)
+		}
+		n += len(read)
 	}
-	got, err := condor.ReadCSV(strings.NewReader(buf.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, log.Events()) {
-		t.Fatalf("round trip mismatch:\nwrote %v\nread  %v", log.Events(), got)
+	if n != len(got) {
+		t.Fatalf("read %d events, only %d belong to the submitted jobs", len(got), n)
 	}
 
 	// ReadCSV rejects a foreign header outright.
@@ -751,7 +818,7 @@ func TestUsageSingleChargeAcrossResubmit(t *testing.T) {
 	clu := cluster.New(eng, cluster.Config{Nodes: 1, UseCosmic: true, Seed: 1})
 	pool := condor.NewPool(eng, clu, scheduler.NewRandomPack(rng.New(7)),
 		condor.Config{MaxRetries: 2})
-	pool.Log = condor.NewEventLog()
+	log := attachLog(pool)
 	liar := mkJob(0, 500, 60, 2)
 	liar.ActualPeakMem = 900 // container-killed at first offload, every run
 	pool.SubmitAs("alice", []*job.Job{liar}, 0)
@@ -766,7 +833,7 @@ func TestUsageSingleChargeAcrossResubmit(t *testing.T) {
 
 	var want units.Tick
 	var lastExec units.Tick
-	for _, e := range pool.Log.JobHistory(0) {
+	for _, e := range log.JobHistory(0) {
 		switch e.Kind {
 		case condor.EventExecute:
 			lastExec = e.At

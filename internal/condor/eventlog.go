@@ -6,6 +6,7 @@ import (
 	"io"
 	"strconv"
 
+	"phishare/internal/obs"
 	"phishare/internal/units"
 )
 
@@ -75,36 +76,57 @@ type Event struct {
 	Machine string // empty for queue-side events
 }
 
-// EventLog collects pool events in order. Attach one via Pool.Log before
-// submitting. A nil log costs nothing.
+// EventLog is HTCondor's user log: the job lifecycle events of a run, in
+// order. It is an obs.EventSink — register it on the run's trace
+// (Trace.AddConsumer) before submitting, and it keeps the condor layer's
+// lifecycle events and ignores everything else.
 type EventLog struct {
 	events []Event
+	// users maps a job to the user its submit event named; the later
+	// events of the job do not carry it.
+	users map[int]string
 }
 
 // NewEventLog returns an empty log.
-func NewEventLog() *EventLog { return &EventLog{} }
+func NewEventLog() *EventLog { return &EventLog{users: map[int]string{}} }
 
-// Append adds an event to the log. The pool records its own events; this
-// is for tooling that reconstructs a log from an external source (for
-// example, replaying a ReadCSV export back through the invariant checker).
-func (l *EventLog) Append(e Event) { l.events = append(l.events, e) }
-
-// Events returns the recorded events in occurrence order.
-func (l *EventLog) Events() []Event {
-	out := make([]Event, len(l.events))
-	copy(out, l.events)
-	return out
+// Consume implements obs.EventSink.
+func (l *EventLog) Consume(e obs.Event) {
+	ev, ok := LifecycleOf(e)
+	if !ok {
+		return
+	}
+	if ev.Kind == EventSubmit {
+		l.users[ev.JobID] = ev.User
+	} else {
+		ev.User = l.users[ev.JobID]
+	}
+	l.events = append(l.events, ev)
 }
 
-// Count returns how many events of the kind were recorded.
-func (l *EventLog) Count(kind EventKind) int {
-	n := 0
-	for _, e := range l.events {
-		if e.Kind == kind {
-			n++
-		}
+// lifecycleKinds maps the condor layer's trace event kinds to user-log
+// kinds; its other events (negotiation cycles, qedits) are not lifecycle.
+var lifecycleKinds = map[string]EventKind{
+	"submit": EventSubmit, "match": EventMatch, "execute": EventExecute,
+	"terminate": EventTerminate, "crash": EventCrash, "resubmit": EventResubmit,
+	"stall_abort": EventStallAbort,
+}
+
+// LifecycleOf reads one trace event as a user-log entry; ok is false for
+// every event that is not a job lifecycle transition. User is set only on
+// submit, the one lifecycle event that carries it.
+func LifecycleOf(e obs.Event) (ev Event, ok bool) {
+	if e.Layer != obs.LayerCondor {
+		return Event{}, false
 	}
-	return n
+	if ev.Kind, ok = lifecycleKinds[e.Kind]; !ok {
+		return Event{}, false
+	}
+	ev.At = e.At
+	ev.JobID, _ = e.Field("job").(int)
+	ev.User, _ = e.Field("user").(string)
+	ev.Machine, _ = e.Field("machine").(string)
+	return ev, true
 }
 
 // JobHistory returns the events of one job, in order.
@@ -177,18 +199,4 @@ func ReadCSV(r io.Reader) ([]Event, error) {
 			User: rec[3], Machine: rec[4],
 		})
 	}
-}
-
-// record appends an event if a log is attached.
-func (p *Pool) record(kind EventKind, q *QueuedJob, machine string) {
-	if p.Log == nil {
-		return
-	}
-	p.Log.events = append(p.Log.events, Event{
-		At:      p.eng.Now(),
-		Kind:    kind,
-		JobID:   q.Job.ID,
-		User:    q.User,
-		Machine: machine,
-	})
 }

@@ -31,9 +31,6 @@ func TestStreamingPoolEmitsAndDrops(t *testing.T) {
 	if !r.pool.Done() {
 		t.Fatal("pool not done after engine drained")
 	}
-	if r.pool.RetainsJobs() {
-		t.Error("RetainsJobs() true on a streaming pool")
-	}
 	if got := r.pool.Submitted(); got != 8 {
 		t.Errorf("Submitted() = %d, want 8", got)
 	}
@@ -128,9 +125,6 @@ func TestRetainedPoolCountersAgree(t *testing.T) {
 		jobs = append(jobs, mkJob(i, 500, 60, 2))
 	}
 	r.run(t, jobs)
-	if !r.pool.RetainsJobs() {
-		t.Error("RetainsJobs() false without a sink")
-	}
 	if got := r.pool.Submitted(); got != 6 {
 		t.Errorf("Submitted() = %d, want 6", got)
 	}

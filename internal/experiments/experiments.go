@@ -7,6 +7,7 @@ import (
 	"phishare/internal/core"
 
 	"phishare/internal/job"
+	"phishare/internal/obs"
 	"phishare/internal/phi"
 	"phishare/internal/rng"
 	"phishare/internal/runner"
@@ -349,10 +350,10 @@ func Fig23(o Options) Fig23Result {
 	run := func(threads units.Threads) (*trace.Recorder, units.Tick, units.Tick) {
 		eng := sim.New()
 		clu := cluster.New(eng, cluster.Config{Nodes: 1, UseCosmic: true, Seed: o.Seed})
-		rec := trace.NewRecorder()
-		clu.Units[0].Device.Trace = rec
 		j1 := fig23Job(1, "J1", threads, 2)
 		j2 := fig23Job(2, "J2", threads, 3)
+		rec := trace.NewRecorder([]*job.Job{j1, j2})
+		clu.Units[0].Device.SetObserver(obs.Streaming(rec))
 		var makespan units.Tick
 		for _, j := range []*job.Job{j1, j2} {
 			runner.Run(eng, clu.Units[0], j, func(runner.Result) {

@@ -38,8 +38,8 @@ func TestObservabilityPreservesOutcomes(t *testing.T) {
 				var o *obs.Observer
 				if instrumented {
 					o = obs.New()
+					o.Trace.AddConsumer(condor.NewEventLog())
 					cfg.Obs = o
-					cfg.EventLog = condor.NewEventLog()
 				}
 				res := Run(cfg)
 				return res, recs, o
@@ -148,13 +148,13 @@ func TestInstrumentedRunArtifacts(t *testing.T) {
 	o := obs.New()
 	o.SampleInterval = 2 * units.Second
 	elog := condor.NewEventLog()
+	o.Trace.AddConsumer(elog)
 	Run(RunConfig{
-		Policy:   PolicyMCCK,
-		Nodes:    2,
-		Jobs:     job.GenerateTableOneSet(60, rng.New(9)),
-		Seed:     9,
-		Obs:      o,
-		EventLog: elog,
+		Policy: PolicyMCCK,
+		Nodes:  2,
+		Jobs:   job.GenerateTableOneSet(60, rng.New(9)),
+		Seed:   9,
+		Obs:    o,
 	})
 
 	// JSONL: every line parses; all four layers appear.
@@ -233,10 +233,22 @@ func TestInstrumentedRunArtifacts(t *testing.T) {
 	}
 
 	// The condor user log captured the same run.
-	if elog.Count(condor.EventSubmit) != 60 {
-		t.Errorf("event log submits = %d, want 60", elog.Count(condor.EventSubmit))
+	var csv bytes.Buffer
+	if err := elog.WriteCSV(&csv); err != nil {
+		t.Fatal(err)
 	}
-	if elog.Count(condor.EventTerminate) == 0 {
+	logged, err := condor.ReadCSV(&csv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kinds := map[condor.EventKind]int{}
+	for _, e := range logged {
+		kinds[e.Kind]++
+	}
+	if kinds[condor.EventSubmit] != 60 {
+		t.Errorf("event log submits = %d, want 60", kinds[condor.EventSubmit])
+	}
+	if kinds[condor.EventTerminate] == 0 {
 		t.Error("event log has no terminations")
 	}
 }

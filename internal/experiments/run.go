@@ -72,10 +72,6 @@ type RunConfig struct {
 	LinkBandwidthMBps float64
 	// MaxSteps bounds the event count as a runaway guard; 0 means 500M.
 	MaxSteps uint64
-	// Trace, if non-nil, observes every device's offload lifecycle (job
-	// names are unique within a run, so one recorder can serve the whole
-	// cluster for CSV/JSON export).
-	Trace phi.TraceSink
 	// Stream switches the run to emit-and-drop record processing: terminal
 	// job records are folded into online aggregates (Result.Stream) the
 	// moment they happen and then released, so resident memory is O(active
@@ -97,17 +93,17 @@ type RunConfig struct {
 	RecordSink *[]metrics.JobRecord
 	// Obs, if non-nil, attaches the observability layer to every component
 	// (pool, policy, devices, COSMIC managers) and runs the time-series
-	// sampler for the whole simulation. Outcome-neutral by construction;
-	// TestObservabilityPreservesOutcomes proves it.
+	// sampler for the whole simulation. Its trace is the run's one lifecycle
+	// stream: register a condor.EventLog (the user log) or a trace.Recorder
+	// (offload intervals) on it with Trace.AddConsumer. Outcome-neutral by
+	// construction; TestObservabilityPreservesOutcomes proves it.
 	Obs *obs.Observer
-	// EventLog, if non-nil, receives the pool's job lifecycle events
-	// (HTCondor's user log; see condor.EventLog).
-	EventLog *condor.EventLog
 	// Chaos, if non-nil, wires the fault-injection and invariant layer into
 	// the run (see faults.Harness). A harness with a zero Profile and
 	// Check=false is equivalent to nil; with Check=true but no faults the
 	// run's outcomes stay bit-identical to an unchecked run
-	// (TestChaosDisabledPreservesOutcomes).
+	// (TestChaosDisabledPreservesOutcomes). A checked run reads Obs's trace;
+	// with Obs nil the harness attaches a streaming observer to the pool.
 	Chaos *faults.Harness
 	// Workers is retained only so the frozen benchmark/ module compiles; remove with the next benchmark change.
 	Workers int
@@ -187,14 +183,8 @@ func Run(cfg RunConfig) Result {
 		LinkBandwidthMBps: cfg.LinkBandwidthMBps,
 		Seed:              cfg.Seed,
 	})
-	if cfg.Trace != nil {
-		for _, u := range clu.Units {
-			u.Device.Trace = cfg.Trace
-		}
-	}
 	pol := cfg.buildPolicy()
 	pool := condor.NewPool(eng, clu, pol, cfg.Condor)
-	pool.Log = cfg.EventLog
 	// The online aggregate. In streaming mode the pool's record sink feeds
 	// it as jobs retire; in retained mode the post-run record walk does.
 	// Either way the same Add calls run over the same records, which is

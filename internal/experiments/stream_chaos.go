@@ -14,14 +14,13 @@ import (
 // record processing computes the same aggregates as the retained oracle;
 // this leg re-proves it under fault injection, where crash/resubmit churn,
 // stall aborts and node loss produce the terminal-transition orders the
-// clean runs never see.
-//
-// The two runs of a cell cannot share an invariant checker — the checker
-// audits the retained queue a streaming pool doesn't have — so the retained
-// run carries it (Check=true) and the streaming run goes bare. That is
-// sound because the injector is driven purely by (profile, seed), and
-// TestChaosDisabledPreservesOutcomes already pins the checker itself to be
-// outcome-neutral.
+// clean runs never see. Both runs of a cell carry the invariant checker —
+// its ledger is O(active jobs), so it audits the streaming run exactly as
+// it audits the retained one — and the retained run is also the oracle for
+// the aggregate diff.
+
+// StreamChaosJobs is the default number of arrivals per streaming chaos cell.
+const StreamChaosJobs = 60
 
 // StreamChaosConfig describes a streaming-vs-retained chaos sweep over a
 // small faulted diurnal cell.
@@ -34,7 +33,7 @@ type StreamChaosConfig struct {
 	Policies []string
 	// Profiles to sweep (default light and heavy).
 	Profiles []faults.Profile
-	// Jobs per cell (default 60), arriving over Horizon.
+	// Jobs per cell (default StreamChaosJobs), arriving over Horizon.
 	Jobs int
 	// Nodes per cell (default 3).
 	Nodes int
@@ -65,7 +64,7 @@ func (c StreamChaosConfig) withDefaults() StreamChaosConfig {
 		c.Profiles = faults.Profiles()
 	}
 	if c.Jobs == 0 {
-		c.Jobs = 60
+		c.Jobs = StreamChaosJobs
 	}
 	if c.Nodes == 0 {
 		c.Nodes = 3
@@ -96,13 +95,13 @@ func (c StreamChaosConfig) source(seed int64) workload.Source {
 }
 
 // StreamChaosCell runs one (seed, profile, policy) faulted diurnal cell
-// twice — retained under the invariant checker, then streaming — and
-// returns the checker's violations plus any divergence between the two
+// twice under the invariant checker — retained, then streaming — and
+// returns both checkers' violations plus any divergence between the two
 // runs' aggregates. Nil means the cell is clean and the modes agree.
 func StreamChaosCell(c StreamChaosConfig, seed int64, prof faults.Profile, policy string) []string {
 	c = c.withDefaults()
 	run := func(stream bool) (Result, []string) {
-		h := &faults.Harness{Profile: prof, Seed: seed, Check: !stream}
+		h := &faults.Harness{Profile: prof, Seed: seed, Check: true}
 		res := Run(RunConfig{
 			Policy: policy,
 			Nodes:  c.Nodes,
@@ -115,7 +114,10 @@ func StreamChaosCell(c StreamChaosConfig, seed int64, prof faults.Profile, polic
 		return res, h.Finish()
 	}
 	retained, violations := run(false)
-	streamed, _ := run(true)
+	streamed, streamViolations := run(true)
+	for _, v := range streamViolations {
+		violations = append(violations, "streaming: "+v)
+	}
 
 	if streamed.Makespan != retained.Makespan {
 		violations = append(violations, fmt.Sprintf(

@@ -140,9 +140,9 @@ func TestSourcePumpMatchesPrescheduled(t *testing.T) {
 }
 
 // TestStreamChaosSwarm is the streaming leg of the `make chaos` gate: every
-// faulted diurnal cell replays in streaming mode and its aggregates must
-// match the checked retained run bit for bit. Sweep width honors
-// STREAM_CHAOS_SEEDS and shrinks under -short.
+// faulted diurnal cell runs retained and streaming, both under the
+// invariant checker, and the aggregates must match bit for bit. Sweep
+// width honors STREAM_CHAOS_SEEDS and shrinks under -short.
 func TestStreamChaosSwarm(t *testing.T) {
 	seeds := 10
 	if env := os.Getenv("STREAM_CHAOS_SEEDS"); env != "" {
@@ -158,6 +158,47 @@ func TestStreamChaosSwarm(t *testing.T) {
 	for _, f := range failures {
 		t.Errorf("%s\n  replay: go run ./cmd/phichaos -stream -seeds 1 -seed0 %d -profiles %s -policies %s",
 			f, f.Seed, f.Profile, f.Policy)
+	}
+}
+
+// TestCheckedStreamingDiurnalCell arms the invariant checker on the regime
+// the scale runs live in: a faulted, multi-tenant, heterogeneous diurnal
+// day of 5,000 streamed arrivals, emit-and-drop. Every law must hold, and
+// the checker's own resident state must stay O(active jobs): its ledger
+// never holds more jobs than the pool's pending and in-flight high-water
+// marks together.
+func TestCheckedStreamingDiurnalCell(t *testing.T) {
+	const n, nodes, seed = 5000, 16, 29
+	heavy, _ := faults.ProfileByName("heavy")
+	h := &faults.Harness{Profile: heavy, Seed: seed, Check: true}
+	res := Run(RunConfig{
+		Policy: PolicyMCC,
+		Nodes:  nodes,
+		Source: workload.NewDiurnal(workload.DiurnalConfig{
+			N:          n,
+			Seed:       seed,
+			Day:        3 * units.Hour,
+			BurstCount: 4,
+			Tenants:    20,
+		}),
+		NodeDevices: workload.HeterogeneousPool(seed, nodes, nil),
+		Seed:        seed,
+		Condor:      condor.Config{MaxRetries: 4},
+		Stream:      true,
+		Chaos:       h,
+	})
+	if v := h.Finish(); len(v) != 0 {
+		t.Fatalf("%d violations on the checked streaming day:\n%v", len(v), v)
+	}
+	if s := res.Summary; s.Completed+s.Failed != n || s.Crashes == 0 {
+		t.Fatalf("cell did not run as intended: %d completed + %d failed of %d, %d crashes",
+			s.Completed, s.Failed, n, s.Crashes)
+	}
+	bound := res.Stream.PeakPending + res.Stream.PeakInFlight
+	t.Logf("checker ledger peak %d jobs; pool peaks %d pending + %d in flight; %d crashes",
+		h.PeakLedger(), res.Stream.PeakPending, res.Stream.PeakInFlight, res.Summary.Crashes)
+	if peak := h.PeakLedger(); peak == 0 || peak > bound {
+		t.Errorf("checker ledger peaked at %d jobs, want 1..%d (peak pending + peak in flight)", peak, bound)
 	}
 }
 

@@ -16,7 +16,7 @@
 //     simulation event and at termination: resources never go negative,
 //     bookkeeping sums match reality, no job is lost or duplicated, every
 //     terminal callback fires exactly once, and fair-share usage equals the
-//     sum of actual execution intervals reconstructed from the event log.
+//     sum of actual execution intervals read off the run's event trace.
 //
 // Both default off. A Harness (harness.go) with a zero Profile and
 // Check=false wires nothing; with Check=true but no faults, the checker

@@ -18,7 +18,9 @@ type Harness struct {
 	Seed int64
 	// Check installs the invariant checker on the engine's AfterStep hook.
 	Check bool
-	// Obs, if non-nil, receives fault trace events (layer "faults").
+	// Obs, if non-nil, is the run's observer, already attached to the
+	// pool: it receives fault trace events (layer "faults"), and the
+	// checker reads the pool's lifecycle events from its trace.
 	// experiments.Run copies its RunConfig.Obs here.
 	Obs *obs.Observer
 
@@ -28,17 +30,20 @@ type Harness struct {
 
 // Wire installs the harness on a freshly assembled stack, before job
 // submission. With Check set it attaches the checker to eng.AfterStep,
-// chains the pool's OnTerminal for exactly-once accounting, and ensures an
-// event log exists for the terminal reconciliation checks. With an enabled
+// registers it on the run's trace and chains the pool's OnTerminal for the
+// per-job lifecycle checks; a run without an observer gets one in streaming
+// mode, attached to the pool alone, so nothing is retained. With an enabled
 // Profile it builds and starts the Injector. All of the checker's additions
 // are outcome-neutral; only the injected faults themselves perturb the run.
 func (h *Harness) Wire(eng *sim.Engine, clu *cluster.Cluster, pool *condor.Pool) {
 	if h.Check {
 		h.chk = NewChecker(eng, clu, pool)
-		eng.AfterStep = h.chk.Check
-		if pool.Log == nil {
-			pool.Log = condor.NewEventLog()
+		if h.Obs != nil {
+			h.Obs.Trace.AddConsumer(h.chk)
+		} else {
+			pool.SetObserver(obs.Streaming(h.chk))
 		}
+		eng.AfterStep = h.chk.Check
 		prev := pool.OnTerminal
 		pool.OnTerminal = func(q *condor.QueuedJob) {
 			h.chk.NoteTerminal(q)
@@ -68,6 +73,14 @@ func (h *Harness) Violations() []string {
 		return nil
 	}
 	return h.chk.Violations()
+}
+
+// PeakLedger is the most jobs the checker held at once (zero without Check).
+func (h *Harness) PeakLedger() int {
+	if h.chk == nil {
+		return 0
+	}
+	return h.chk.peak
 }
 
 // InjectorStats returns the injection counters (zero without a profile).

@@ -7,6 +7,7 @@ import (
 
 	"phishare/internal/cluster"
 	"phishare/internal/condor"
+	"phishare/internal/obs"
 	"phishare/internal/sim"
 	"phishare/internal/units"
 )
@@ -17,9 +18,16 @@ import (
 const maxViolations = 20
 
 // Checker audits the stack's conservation laws. Install its Check method as
-// the engine's AfterStep hook so it runs at every event boundary, and call
-// Finish once the engine drains for the terminal checks. The checker only
-// reads component state (plus the lazy dead-process purge inside
+// the engine's AfterStep hook so it runs at every event boundary, register
+// it on the run's trace (it is an obs.EventSink) and chain NoteTerminal into
+// the pool's OnTerminal hook, then call Finish once the engine drains for
+// the terminal checks. Harness.Wire does all three.
+//
+// The checker holds one ledger entry per active job — opened by the job's
+// submit event, checked and dropped when OnTerminal retires the job — so its
+// resident state is O(active jobs) and it audits streaming pools, whose
+// terminal jobs are gone by design, exactly as it audits retained ones. It
+// only reads component state (plus the lazy dead-process purge inside
 // cosmic.DeclaredFree, which is outcome-neutral by construction), so a
 // checked run's outcomes are bit-identical to an unchecked one.
 type Checker struct {
@@ -28,7 +36,6 @@ type Checker struct {
 	pool *condor.Pool
 
 	violations []string
-	total      int
 
 	// memGuarded records whether the policy's machine-side Requirements
 	// reference PhiFreeMemory. Only a memory-guarded negotiator (MC, MCCK)
@@ -37,56 +44,132 @@ type Checker struct {
 	// the memory law is enforced by COSMIC at the node (checkDevices).
 	memGuarded bool
 
-	// terminalCount verifies that OnTerminal — the "done" callback external
-	// tooling depends on — fires exactly once per job. Keyed by job ID;
-	// wired by Harness through the pool's OnTerminal chain.
-	terminalCount map[int]int
+	// jobs is the live ledger, keyed by job ID: every submitted job that
+	// OnTerminal has not yet retired. peak is its high-water mark.
+	jobs map[int]*ledger
+	peak int
+	// usage is per-user device time summed from the execution intervals
+	// the event stream shows (Execute → Crash/Terminate).
+	usage map[string]units.Tick
+	// pending is checkPool's duplicate-detection scratch, reused per event.
+	pending map[int]bool
 }
 
-// NewChecker builds a checker over an assembled stack. Wire Check into
-// eng.AfterStep and NoteTerminal into the pool's OnTerminal chain.
-//
-// The checker's per-event sweeps (checkPool, Finish) reconcile against the
-// pool's retained job queue, so it cannot audit a streaming pool — whose
-// terminal jobs are gone by design. That combination is refused here, at
-// wiring time, rather than silently passing vacuous checks over an empty
-// queue. Streaming chaos runs instead diff their aggregates against a
-// checked retained twin (experiments.StreamChaosCell).
+// ledger is one active job's view of its own event stream.
+type ledger struct {
+	user     string
+	lastExec units.Tick
+
+	submits, matches, executes, terminates, crashes, aborts int
+}
+
+// NewChecker builds a checker over an assembled stack, retaining or
+// streaming alike.
 func NewChecker(eng *sim.Engine, clu *cluster.Cluster, pool *condor.Pool) *Checker {
-	if !pool.RetainsJobs() {
-		panic("faults: invariant checker requires a job-retaining pool; streaming pools drop the queue it audits")
-	}
 	return &Checker{
 		eng: eng, clu: clu, pool: pool,
-		memGuarded:    strings.Contains(pool.Policy().MachineRequirements(), condor.AttrPhiFreeMemory),
-		terminalCount: map[int]int{},
+		memGuarded: strings.Contains(pool.Policy().MachineRequirements(), condor.AttrPhiFreeMemory),
+		jobs:       map[int]*ledger{},
+		usage:      map[string]units.Tick{},
+		pending:    map[int]bool{},
 	}
 }
 
-// Violations returns the recorded violations (capped; Total gives the real
-// count).
+// Violations returns the recorded violations, capped at maxViolations.
 func (c *Checker) Violations() []string { return c.violations }
 
-// Total is the number of violations detected, including ones dropped by the
-// cap.
-func (c *Checker) Total() int { return c.total }
-
 func (c *Checker) fail(format string, args ...any) {
-	c.total++
 	if len(c.violations) < maxViolations {
 		msg := fmt.Sprintf(format, args...)
 		c.violations = append(c.violations, fmt.Sprintf("t=%v: %s", c.eng.Now(), msg))
 	}
 }
 
-// NoteTerminal records one OnTerminal delivery for exactly-once accounting.
+// Consume implements obs.EventSink: it tallies the condor layer's job
+// lifecycle events into the ledger. A submit opens a job's entry; any other
+// lifecycle event for a job with no open entry — one already retired, or
+// never submitted — is a violation.
+func (c *Checker) Consume(e obs.Event) {
+	ev, ok := condor.LifecycleOf(e)
+	if !ok {
+		return
+	}
+	l := c.jobs[ev.JobID]
+	if ev.Kind == condor.EventSubmit {
+		if l == nil {
+			l = &ledger{user: ev.User}
+			c.jobs[ev.JobID] = l
+			c.usage[ev.User] += 0 // every submitting user is reconciled at Finish
+			if len(c.jobs) > c.peak {
+				c.peak = len(c.jobs)
+			}
+		}
+		l.submits++
+		return
+	}
+	if l == nil {
+		c.fail("job %d: %v event with no live job (retired, or never submitted)", ev.JobID, ev.Kind)
+		return
+	}
+	switch ev.Kind {
+	case condor.EventMatch:
+		l.matches++
+	case condor.EventExecute:
+		l.executes++
+		l.lastExec = ev.At
+	case condor.EventCrash:
+		l.crashes++
+		c.usage[l.user] += ev.At - l.lastExec
+	case condor.EventTerminate:
+		l.terminates++
+		c.usage[l.user] += ev.At - l.lastExec
+	case condor.EventStallAbort:
+		l.aborts++
+	}
+}
+
+// NoteTerminal is the OnTerminal hook: it checks the retiring job's
+// lifecycle laws against its ledger and drops the entry. Every execution
+// ends in exactly one crash or terminate, and the job's own counters agree
+// with the events it produced.
 func (c *Checker) NoteTerminal(q *condor.QueuedJob) {
-	c.terminalCount[q.Job.ID]++
+	id := q.Job.ID
+	l := c.jobs[id]
+	if l == nil {
+		c.fail("job %d: OnTerminal fired with no live job (a second delivery, or no submit event)", id)
+		return
+	}
+	delete(c.jobs, id)
+	if q.State != condor.Completed && q.State != condor.Failed {
+		c.fail("job %d: OnTerminal in non-terminal state %v", id, q.State)
+	}
+	if l.submits != 1 {
+		c.fail("job %d: %d submit events, want 1", id, l.submits)
+	}
+	if l.matches != l.executes {
+		c.fail("job %d: %d matches but %d executions", id, l.matches, l.executes)
+	}
+	if l.terminates > 1 {
+		c.fail("job %d: terminated %d times", id, l.terminates)
+	}
+	if l.aborts > 1 {
+		c.fail("job %d: stall-aborted %d times", id, l.aborts)
+	}
+	if l.executes != l.crashes+l.terminates {
+		c.fail("job %d: %d executions but %d crashes + %d terminations (run lost or duplicated)",
+			id, l.executes, l.crashes, l.terminates)
+	}
+	if l.crashes != q.Crashes {
+		c.fail("job %d: %d crash events but Crashes=%d", id, l.crashes, q.Crashes)
+	}
+	if q.State == condor.Completed && l.terminates != 1 {
+		c.fail("job %d: completed with %d terminate events", id, l.terminates)
+	}
 }
 
 // Check runs the per-event structural invariants. It is the engine
 // AfterStep hook: cheap enough to run after every event (a few short loops
-// over machines, jobs and resident processes).
+// over machines, pending jobs and resident processes).
 func (c *Checker) Check() {
 	c.checkMachines()
 	c.checkPool()
@@ -144,34 +227,38 @@ func (c *Checker) checkMachines() {
 	}
 }
 
-// checkPool verifies job-state conservation: no job lost, duplicated, or
-// double-counted between the pending queue and the in-flight counter.
+// checkPool verifies job-state conservation from the pool's counters: every
+// submitted, not yet terminal job is either pending or in flight, every
+// in-flight job is resident on exactly one machine, the pending queue holds
+// only Idle jobs with no duplicates, and the checker's ledger holds exactly
+// the active jobs.
 func (c *Checker) checkPool() {
-	idle, dispatched := 0, 0
-	for _, q := range c.pool.Jobs() {
-		switch q.State {
-		case condor.Idle:
-			idle++
-		case condor.Dispatched:
-			dispatched++
-		}
+	p := c.pool
+	pending := p.Pending()
+	active := p.Submitted() - p.Terminal()
+	if active != len(pending)+p.InFlight() {
+		c.fail("pool: %d submitted - %d terminal != %d pending + %d in flight",
+			p.Submitted(), p.Terminal(), len(pending), p.InFlight())
 	}
-	if inFlight := c.pool.InFlight(); inFlight != dispatched {
-		c.fail("pool: inFlight %d != %d jobs in Dispatched state", inFlight, dispatched)
+	resident := 0
+	for _, m := range p.Machines() {
+		resident += len(m.Resident)
 	}
-	pending := c.pool.Pending()
-	if len(pending) != idle {
-		c.fail("pool: pending queue has %d jobs, %d jobs in Idle state", len(pending), idle)
+	if p.InFlight() != resident {
+		c.fail("pool: inFlight %d != %d jobs resident on machines", p.InFlight(), resident)
 	}
-	seen := map[int]bool{}
+	if len(c.jobs) != active {
+		c.fail("checker: ledger holds %d jobs, pool has %d active", len(c.jobs), active)
+	}
+	clear(c.pending)
 	for _, q := range pending {
 		if q.State != condor.Idle {
 			c.fail("pool: pending job %d in state %v", q.Job.ID, q.State)
 		}
-		if seen[q.Job.ID] {
+		if c.pending[q.Job.ID] {
 			c.fail("pool: job %d queued twice", q.Job.ID)
 		}
-		seen[q.Job.ID] = true
+		c.pending[q.Job.ID] = true
 	}
 }
 
@@ -197,15 +284,16 @@ func (c *Checker) checkDevices() {
 }
 
 // Finish runs the terminal checks after the engine drains and returns every
-// recorded violation. Event-log checks are skipped when no log is attached.
+// recorded violation: no job left without its OnTerminal, nothing
+// resident, and per-user usage equal to the summed execution intervals.
 func (c *Checker) Finish() []string {
-	for _, q := range c.pool.Jobs() {
-		if q.State != condor.Completed && q.State != condor.Failed {
-			c.fail("job %d never reached a terminal state (%v)", q.Job.ID, q.State)
-		}
-		if n := c.terminalCount[q.Job.ID]; n != 1 {
-			c.fail("job %d: OnTerminal fired %d times, want exactly once", q.Job.ID, n)
-		}
+	open := make([]int, 0, len(c.jobs))
+	for id := range c.jobs {
+		open = append(open, id)
+	}
+	sort.Ints(open)
+	for _, id := range open {
+		c.fail("job %d never reached a terminal state (no OnTerminal after %d executions)", id, c.jobs[id].executes)
 	}
 	for _, m := range c.pool.Machines() {
 		if len(m.Resident) != 0 {
@@ -215,108 +303,29 @@ func (c *Checker) Finish() []string {
 	if n := c.pool.InFlight(); n != 0 {
 		c.fail("pool: inFlight %d after drain", n)
 	}
-	if c.pool.Log != nil {
-		c.checkEventLog()
-		c.checkUsage()
-	}
+	c.checkUsage()
 	return c.violations
 }
 
-// checkEventLog verifies each job's lifecycle sequence: one submit, every
-// match followed by exactly one execute, at most one terminate, and the
-// executions conserved — every execution ends in exactly one crash or
-// terminate, except a final run cut short by a stall abort.
-func (c *Checker) checkEventLog() {
-	type tally struct{ submits, matches, executes, terminates, crashes, resubmits, aborts int }
-	counts := map[int]*tally{}
-	for _, e := range c.pool.Log.Events() {
-		t := counts[e.JobID]
-		if t == nil {
-			t = &tally{}
-			counts[e.JobID] = t
-		}
-		switch e.Kind {
-		case condor.EventSubmit:
-			t.submits++
-		case condor.EventMatch:
-			t.matches++
-		case condor.EventExecute:
-			t.executes++
-		case condor.EventTerminate:
-			t.terminates++
-		case condor.EventCrash:
-			t.crashes++
-		case condor.EventResubmit:
-			t.resubmits++
-		case condor.EventStallAbort:
-			t.aborts++
-		}
-	}
-	for _, q := range c.pool.Jobs() {
-		id := q.Job.ID
-		t := counts[id]
-		if t == nil {
-			c.fail("job %d: no events logged", id)
-			continue
-		}
-		if t.submits != 1 {
-			c.fail("job %d: %d submit events, want 1", id, t.submits)
-		}
-		if t.matches != t.executes {
-			c.fail("job %d: %d matches but %d executions", id, t.matches, t.executes)
-		}
-		if t.terminates > 1 {
-			c.fail("job %d: terminated %d times", id, t.terminates)
-		}
-		if t.aborts > 1 {
-			c.fail("job %d: stall-aborted %d times", id, t.aborts)
-		}
-		if t.executes != t.crashes+t.terminates {
-			c.fail("job %d: %d executions but %d crashes + %d terminations (run lost or duplicated)",
-				id, t.executes, t.crashes, t.terminates)
-		}
-		if t.crashes != q.Crashes {
-			c.fail("job %d: %d crash events but Crashes=%d", id, t.crashes, q.Crashes)
-		}
-		if q.State == condor.Completed && t.terminates != 1 {
-			c.fail("job %d: completed with %d terminate events", id, t.terminates)
-		}
-	}
-}
-
-// checkUsage reconstructs per-user device time from the event log — the sum
-// of every job's Execute→Crash/Terminate intervals — and compares it with
-// the pool's fair-share accumulator. This is the invariant the
-// crash/resubmit double-count bug broke: accruing from the job's *first*
-// start charged earlier runs (and idle re-queue gaps) again on each crash.
+// checkUsage compares the pool's fair-share accumulator with per-user
+// device time summed from the event stream — every job's Execute →
+// Crash/Terminate intervals. This is the invariant the crash/resubmit
+// double-count bug broke: accruing from the job's *first* start charged
+// earlier runs (and idle re-queue gaps) again on each crash.
 func (c *Checker) checkUsage() {
-	lastExec := map[int]units.Tick{}
-	want := map[string]units.Tick{}
-	for _, e := range c.pool.Log.Events() {
-		switch e.Kind {
-		case condor.EventExecute:
-			lastExec[e.JobID] = e.At
-		case condor.EventCrash, condor.EventTerminate:
-			want[e.User] += e.At - lastExec[e.JobID]
-		}
-	}
 	// Check users in sorted order: violations land in c.violations, so a
 	// map-order iteration here would make the recorded (and capped) report
 	// nondeterministic whenever more than one user mismatches — the
 	// philint:mapiter hazard, caught by the analyzer on this very loop.
-	users := map[string]bool{}
-	for _, q := range c.pool.Jobs() {
-		users[q.User] = true
-	}
-	names := make([]string, 0, len(users))
-	for u := range users {
+	names := make([]string, 0, len(c.usage))
+	for u := range c.usage {
 		names = append(names, u)
 	}
 	sort.Strings(names)
 	for _, u := range names {
-		if got := c.pool.Usage(u); got != want[u] {
+		if got := c.pool.Usage(u); got != c.usage[u] {
 			c.fail("user %q: fair-share usage %v != %v summed from execution intervals",
-				u, got, want[u])
+				u, got, c.usage[u])
 		}
 	}
 }

@@ -41,6 +41,18 @@ func New() *Observer {
 	return &Observer{Reg: NewRegistry(), Trace: NewTrace()}
 }
 
+// Streaming returns an Observer whose trace hands every event to sinks and
+// retains none: the wiring for a run that only feeds event consumers (a
+// user log, an offload recorder, the invariant checker).
+func Streaming(sinks ...EventSink) *Observer {
+	o := New()
+	o.Trace.SetStreaming(true)
+	for _, s := range sinks {
+		o.Trace.AddConsumer(s)
+	}
+	return o
+}
+
 // Counter resolves a counter series. Safe on a nil observer (returns a nil
 // no-op counter).
 func (o *Observer) Counter(name string, labels ...string) *Counter {

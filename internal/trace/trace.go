@@ -6,23 +6,24 @@ package trace
 
 import (
 	"encoding/csv"
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
 	"strconv"
 	"strings"
 
+	"phishare/internal/job"
+	"phishare/internal/obs"
 	"phishare/internal/units"
 )
 
 // Interval is one offload's occupancy of a device.
 type Interval struct {
-	Job       string        `json:"job"`
-	Start     units.Tick    `json:"start_ms"`
-	End       units.Tick    `json:"end_ms"` // -1 while still running
-	Threads   units.Threads `json:"threads"`
-	Completed bool          `json:"completed"`
+	Job       string
+	Start     units.Tick
+	End       units.Tick // -1 while still running
+	Threads   units.Threads
+	Completed bool
 }
 
 // Duration of the interval; zero for still-open intervals.
@@ -37,7 +38,7 @@ func (iv Interval) Duration() units.Tick {
 func (iv Interval) Open() bool { return iv.End < 0 }
 
 // State labels the interval: "running" while open, then "completed" or
-// "aborted". This is the explicit open-end marker in CSV/JSON exports —
+// "aborted". This is the explicit open-end marker in the CSV export —
 // consumers should not have to know that End == -1 means in flight.
 func (iv Interval) State() string {
 	switch {
@@ -49,29 +50,47 @@ func (iv Interval) State() string {
 	return "aborted"
 }
 
-// MarshalJSON adds the derived state field to the export.
-func (iv Interval) MarshalJSON() ([]byte, error) {
-	type alias Interval // drops the method set, avoiding recursion
-	return json.Marshal(struct {
-		alias
-		State string `json:"state"`
-	}{alias(iv), iv.State()})
-}
-
-// Recorder collects offload intervals from one device. It implements
-// phi.TraceSink.
+// Recorder collects offload intervals. It is an obs.EventSink: register it
+// on the trace of the devices it should watch (one recorder can serve a
+// whole cluster) and it keeps the phi layer's offload_start/offload_end
+// events. Events name jobs by ID; the recorder names them from the job set
+// it was built with.
 type Recorder struct {
+	names     map[int]string
 	intervals []Interval
 	open      map[string]int // job name -> index of open interval
 }
 
-// NewRecorder returns an empty recorder.
-func NewRecorder() *Recorder {
-	return &Recorder{open: map[string]int{}}
+// NewRecorder returns an empty recorder for offloads of jobs.
+func NewRecorder(jobs []*job.Job) *Recorder {
+	r := &Recorder{names: make(map[int]string, len(jobs)), open: map[string]int{}}
+	for _, j := range jobs {
+		r.names[j.ID] = j.Name
+	}
+	return r
 }
 
-// OffloadStarted implements phi.TraceSink.
-func (r *Recorder) OffloadStarted(now units.Tick, jobName string, threads units.Threads) {
+// Consume implements obs.EventSink.
+func (r *Recorder) Consume(e obs.Event) {
+	if e.Layer != obs.LayerPhi || (e.Kind != "offload_start" && e.Kind != "offload_end") {
+		return
+	}
+	id, _ := e.Field("job").(int)
+	name, ok := r.names[id]
+	if !ok {
+		panic(fmt.Sprintf("trace: offload of job %d, which is not in the recorder's job set", id))
+	}
+	if e.Kind == "offload_start" {
+		threads, _ := e.Field("threads").(units.Threads)
+		r.start(e.At, name, threads)
+		return
+	}
+	completed, _ := e.Field("completed").(bool)
+	r.end(e.At, name, completed)
+}
+
+// start opens an interval when a kernel begins occupying threads.
+func (r *Recorder) start(now units.Tick, jobName string, threads units.Threads) {
 	if _, dup := r.open[jobName]; dup {
 		panic("trace: overlapping offloads for job " + jobName)
 	}
@@ -81,8 +100,9 @@ func (r *Recorder) OffloadStarted(now units.Tick, jobName string, threads units.
 	})
 }
 
-// OffloadEnded implements phi.TraceSink.
-func (r *Recorder) OffloadEnded(now units.Tick, jobName string, completed bool) {
+// end closes a job's open interval when its kernel completes
+// (completed=true) or its process dies mid-offload (completed=false).
+func (r *Recorder) end(now units.Tick, jobName string, completed bool) {
 	idx, ok := r.open[jobName]
 	if !ok {
 		panic("trace: offload end without start for job " + jobName)
@@ -147,13 +167,6 @@ func (r *Recorder) WriteCSV(w io.Writer) error {
 	return cw.Error()
 }
 
-// WriteJSON emits the intervals as a JSON array.
-func (r *Recorder) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r.Intervals())
-}
-
 // Render draws an ASCII timeline like the paper's Figs. 2–3: one row per
 // job, '#' where the job's offload occupies the device (full width),
 // '=' for partial-width offloads, '.' where the job exists but runs on the
@@ -195,18 +208,6 @@ func (r *Recorder) Render(width int, hwThreads units.Threads) string {
 	fmt.Fprintf(&sb, "%-12s  0%*s\n", "", width-1, end)
 	fmt.Fprintf(&sb, "('#' offload >50%% of threads, '=' partial offload, '.' host/idle)\n")
 	return sb.String()
-}
-
-// BusyThreadIntegral returns the integral of occupied threads over time in
-// thread-seconds: a concurrency summary for closed intervals.
-func (r *Recorder) BusyThreadIntegral() float64 {
-	var total float64
-	for _, iv := range r.intervals {
-		if iv.End >= iv.Start {
-			total += float64(iv.Threads) * iv.Duration().Seconds()
-		}
-	}
-	return total
 }
 
 // Timeline bins average occupied threads over [0, end) into n buckets.

@@ -2,19 +2,20 @@ package trace
 
 import (
 	"bytes"
-	"encoding/json"
 	"strings"
 	"testing"
 
+	"phishare/internal/job"
+	"phishare/internal/obs"
 	"phishare/internal/units"
 )
 
 func TestRecorderBasics(t *testing.T) {
-	r := NewRecorder()
-	r.OffloadStarted(0, "J1", 240)
-	r.OffloadEnded(1000, "J1", true)
-	r.OffloadStarted(1500, "J2", 120)
-	r.OffloadEnded(2500, "J2", true)
+	r := NewRecorder(nil)
+	r.start(0, "J1", 240)
+	r.end(1000, "J1", true)
+	r.start(1500, "J2", 120)
+	r.end(2500, "J2", true)
 	ivs := r.Intervals()
 	if len(ivs) != 2 {
 		t.Fatalf("intervals %d", len(ivs))
@@ -30,12 +31,53 @@ func TestRecorderBasics(t *testing.T) {
 	}
 }
 
+// TestRecorderConsumesOffloadEvents: fed a trace, the recorder keeps the
+// phi layer's offload events, names their jobs from its job set, and
+// ignores everything else.
+func TestRecorderConsumesOffloadEvents(t *testing.T) {
+	r := NewRecorder([]*job.Job{{ID: 7, Name: "J1"}, {ID: 9, Name: "J2"}})
+	phi := func(at units.Tick, kind string, fields ...obs.Field) {
+		r.Consume(obs.Event{At: at, Layer: obs.LayerPhi, Kind: kind, Fields: fields})
+	}
+	phi(0, "offload_start", obs.F("device", "mic0"), obs.F("job", 7), obs.F("threads", units.Threads(240)))
+	r.Consume(obs.Event{At: 100, Layer: obs.LayerCondor, Kind: "offload_start", Fields: []obs.Field{obs.F("job", 9)}})
+	phi(200, "offload_start", obs.F("job", 9), obs.F("threads", units.Threads(60)))
+	phi(300, "oom_kill", obs.F("job", 9))
+	phi(1000, "offload_end", obs.F("job", 7), obs.F("completed", true))
+	phi(1200, "offload_end", obs.F("job", 9), obs.F("completed", false))
+
+	want := []Interval{
+		{Job: "J1", Start: 0, End: 1000, Threads: 240, Completed: true},
+		{Job: "J2", Start: 200, End: 1200, Threads: 60},
+	}
+	got := r.Intervals()
+	if len(got) != len(want) {
+		t.Fatalf("intervals %+v, want %+v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("interval %d = %+v, want %+v", i, got[i], want[i])
+		}
+	}
+}
+
+func TestRecorderUnknownJobPanics(t *testing.T) {
+	r := NewRecorder([]*job.Job{{ID: 1, Name: "J1"}})
+	defer func() {
+		if recover() == nil {
+			t.Error("no panic on an offload of a job outside the job set")
+		}
+	}()
+	r.Consume(obs.Event{Layer: obs.LayerPhi, Kind: "offload_start",
+		Fields: []obs.Field{obs.F("job", 2), obs.F("threads", units.Threads(60))}})
+}
+
 func TestInterleavedJobsTracked(t *testing.T) {
-	r := NewRecorder()
-	r.OffloadStarted(0, "A", 120)
-	r.OffloadStarted(500, "B", 120)
-	r.OffloadEnded(1000, "A", true)
-	r.OffloadEnded(1500, "B", true)
+	r := NewRecorder(nil)
+	r.start(0, "A", 120)
+	r.start(500, "B", 120)
+	r.end(1000, "A", true)
+	r.end(1500, "B", true)
 	ivs := r.Intervals()
 	if ivs[0].Job != "A" || ivs[1].Job != "B" {
 		t.Errorf("intervals %v", ivs)
@@ -46,39 +88,39 @@ func TestInterleavedJobsTracked(t *testing.T) {
 }
 
 func TestAbortedIntervalMarked(t *testing.T) {
-	r := NewRecorder()
-	r.OffloadStarted(0, "A", 60)
-	r.OffloadEnded(200, "A", false)
+	r := NewRecorder(nil)
+	r.start(0, "A", 60)
+	r.end(200, "A", false)
 	if r.Intervals()[0].Completed {
 		t.Error("aborted interval marked completed")
 	}
 }
 
 func TestOverlappingSameJobPanics(t *testing.T) {
-	r := NewRecorder()
-	r.OffloadStarted(0, "A", 60)
+	r := NewRecorder(nil)
+	r.start(0, "A", 60)
 	defer func() {
 		if recover() == nil {
 			t.Error("no panic on overlapping offloads")
 		}
 	}()
-	r.OffloadStarted(10, "A", 60)
+	r.start(10, "A", 60)
 }
 
 func TestEndWithoutStartPanics(t *testing.T) {
-	r := NewRecorder()
+	r := NewRecorder(nil)
 	defer func() {
 		if recover() == nil {
 			t.Error("no panic on end without start")
 		}
 	}()
-	r.OffloadEnded(10, "A", true)
+	r.end(10, "A", true)
 }
 
 func TestWriteCSV(t *testing.T) {
-	r := NewRecorder()
-	r.OffloadStarted(0, "A", 240)
-	r.OffloadEnded(1000, "A", true)
+	r := NewRecorder(nil)
+	r.start(0, "A", 240)
+	r.end(1000, "A", true)
 	var buf bytes.Buffer
 	if err := r.WriteCSV(&buf); err != nil {
 		t.Fatal(err)
@@ -96,15 +138,15 @@ func TestWriteCSV(t *testing.T) {
 }
 
 // TestExportOpenInterval: an in-flight offload exports with End == -1 and an
-// explicit "running" marker in both CSV and JSON, and an aborted one is
-// labelled "aborted".
+// explicit "running" marker in the CSV, and an aborted one is labelled
+// "aborted".
 func TestExportOpenInterval(t *testing.T) {
-	r := NewRecorder()
-	r.OffloadStarted(0, "done", 240)
-	r.OffloadEnded(1000, "done", true)
-	r.OffloadStarted(500, "dead", 60)
-	r.OffloadEnded(800, "dead", false)
-	r.OffloadStarted(2000, "flying", 120)
+	r := NewRecorder(nil)
+	r.start(0, "done", 240)
+	r.end(1000, "done", true)
+	r.start(500, "dead", 60)
+	r.end(800, "dead", false)
+	r.start(2000, "flying", 120)
 
 	var csvBuf bytes.Buffer
 	if err := r.WriteCSV(&csvBuf); err != nil {
@@ -120,53 +162,14 @@ func TestExportOpenInterval(t *testing.T) {
 	if lines[3] != "flying,2000,-1,120,false,running" {
 		t.Errorf("open row %q", lines[3])
 	}
-
-	var jsonBuf bytes.Buffer
-	if err := r.WriteJSON(&jsonBuf); err != nil {
-		t.Fatal(err)
-	}
-	var out []struct {
-		Job   string `json:"job"`
-		End   int64  `json:"end_ms"`
-		State string `json:"state"`
-	}
-	if err := json.Unmarshal(jsonBuf.Bytes(), &out); err != nil {
-		t.Fatalf("invalid json: %v", err)
-	}
-	want := map[string]string{"done": "completed", "dead": "aborted", "flying": "running"}
-	for _, iv := range out {
-		if iv.State != want[iv.Job] {
-			t.Errorf("%s state %q, want %q", iv.Job, iv.State, want[iv.Job])
-		}
-	}
-	if out[2].End != -1 {
-		t.Errorf("open interval end %d, want -1", out[2].End)
-	}
-}
-
-func TestWriteJSON(t *testing.T) {
-	r := NewRecorder()
-	r.OffloadStarted(0, "A", 240)
-	r.OffloadEnded(1000, "A", true)
-	var buf bytes.Buffer
-	if err := r.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var out []Interval
-	if err := json.Unmarshal(buf.Bytes(), &out); err != nil {
-		t.Fatalf("invalid json: %v", err)
-	}
-	if len(out) != 1 || out[0].Job != "A" || out[0].Threads != 240 {
-		t.Errorf("round trip %+v", out)
-	}
 }
 
 func TestRenderShape(t *testing.T) {
-	r := NewRecorder()
-	r.OffloadStarted(0, "J1", 240)
-	r.OffloadEnded(500, "J1", true)
-	r.OffloadStarted(500, "J2", 120)
-	r.OffloadEnded(1000, "J2", true)
+	r := NewRecorder(nil)
+	r.start(0, "J1", 240)
+	r.end(500, "J1", true)
+	r.start(500, "J2", 120)
+	r.end(1000, "J2", true)
 	out := r.Render(40, 240)
 	if !strings.Contains(out, "J1") || !strings.Contains(out, "J2") {
 		t.Fatalf("render missing jobs:\n%s", out)
@@ -184,21 +187,9 @@ func TestRenderShape(t *testing.T) {
 }
 
 func TestRenderEmpty(t *testing.T) {
-	r := NewRecorder()
+	r := NewRecorder(nil)
 	if out := r.Render(40, 240); !strings.Contains(out, "no offload activity") {
 		t.Errorf("empty render: %q", out)
-	}
-}
-
-func TestBusyThreadIntegral(t *testing.T) {
-	r := NewRecorder()
-	r.OffloadStarted(0, "A", 240)
-	r.OffloadEnded(units.Tick(2*units.Second), "A", true)
-	r.OffloadStarted(0, "B", 60)
-	r.OffloadEnded(units.Tick(1*units.Second), "B", true)
-	want := 240*2.0 + 60*1.0
-	if got := r.BusyThreadIntegral(); got != want {
-		t.Errorf("integral = %v, want %v", got, want)
 	}
 }
 
@@ -210,12 +201,12 @@ func TestDurationOpenInterval(t *testing.T) {
 }
 
 func TestTimeline(t *testing.T) {
-	r := NewRecorder()
+	r := NewRecorder(nil)
 	// 240 threads for the first half, 120 for the second.
-	r.OffloadStarted(0, "A", 240)
-	r.OffloadEnded(1000, "A", true)
-	r.OffloadStarted(1000, "B", 120)
-	r.OffloadEnded(2000, "B", true)
+	r.start(0, "A", 240)
+	r.end(1000, "A", true)
+	r.start(1000, "B", 120)
+	r.end(2000, "B", true)
 	tl := r.Timeline(4, 2000)
 	want := []float64{240, 240, 120, 120}
 	for i := range want {
@@ -226,10 +217,10 @@ func TestTimeline(t *testing.T) {
 }
 
 func TestTimelinePartialOverlap(t *testing.T) {
-	r := NewRecorder()
+	r := NewRecorder(nil)
 	// 100 threads over [0, 500) in a 1000-wide bucket: average 50.
-	r.OffloadStarted(0, "A", 100)
-	r.OffloadEnded(500, "A", true)
+	r.start(0, "A", 100)
+	r.end(500, "A", true)
 	tl := r.Timeline(1, 1000)
 	if diff := tl[0] - 50; diff > 0.01 || diff < -0.01 {
 		t.Errorf("bucket = %v, want 50", tl[0])
@@ -237,7 +228,7 @@ func TestTimelinePartialOverlap(t *testing.T) {
 }
 
 func TestTimelineDegenerate(t *testing.T) {
-	r := NewRecorder()
+	r := NewRecorder(nil)
 	if r.Timeline(0, 100) != nil || r.Timeline(4, 0) != nil {
 		t.Error("degenerate timeline not nil")
 	}
@@ -265,11 +256,11 @@ func TestSparklineClamps(t *testing.T) {
 }
 
 func TestWriteSVG(t *testing.T) {
-	r := NewRecorder()
-	r.OffloadStarted(0, "J1", 240)
-	r.OffloadEnded(3000, "J1", true)
-	r.OffloadStarted(1000, "J2", 120)
-	r.OffloadEnded(2000, "J2", false) // aborted
+	r := NewRecorder(nil)
+	r.start(0, "J1", 240)
+	r.end(3000, "J1", true)
+	r.start(1000, "J2", 120)
+	r.end(2000, "J2", false) // aborted
 	var buf bytes.Buffer
 	if err := r.WriteSVG(&buf, 240); err != nil {
 		t.Fatal(err)
@@ -288,10 +279,10 @@ func TestWriteSVG(t *testing.T) {
 // TestWriteSVGOpenInterval: a mid-run snapshot with an in-flight offload
 // renders the open bar (dashed, to the chart edge) instead of dropping it.
 func TestWriteSVGOpenInterval(t *testing.T) {
-	r := NewRecorder()
-	r.OffloadStarted(0, "closed", 240)
-	r.OffloadEnded(3000, "closed", true)
-	r.OffloadStarted(4000, "inflight", 120) // still running, past the last close
+	r := NewRecorder(nil)
+	r.start(0, "closed", 240)
+	r.end(3000, "closed", true)
+	r.start(4000, "inflight", 120) // still running, past the last close
 	var buf bytes.Buffer
 	if err := r.WriteSVG(&buf, 240); err != nil {
 		t.Fatal(err)
@@ -311,8 +302,8 @@ func TestWriteSVGOpenInterval(t *testing.T) {
 	}
 
 	// Open-only recorder: must still render, not emit the empty placeholder.
-	r2 := NewRecorder()
-	r2.OffloadStarted(0, "solo", 60)
+	r2 := NewRecorder(nil)
+	r2.start(0, "solo", 60)
 	var buf2 bytes.Buffer
 	if err := r2.WriteSVG(&buf2, 240); err != nil {
 		t.Fatal(err)
@@ -327,7 +318,7 @@ func TestWriteSVGOpenInterval(t *testing.T) {
 
 func TestWriteSVGEmpty(t *testing.T) {
 	var buf bytes.Buffer
-	if err := NewRecorder().WriteSVG(&buf, 240); err != nil {
+	if err := NewRecorder(nil).WriteSVG(&buf, 240); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "no offload activity") {
@@ -336,9 +327,9 @@ func TestWriteSVGEmpty(t *testing.T) {
 }
 
 func TestSVGEscapesJobNames(t *testing.T) {
-	r := NewRecorder()
-	r.OffloadStarted(0, `evil<>&"job`, 60)
-	r.OffloadEnded(100, `evil<>&"job`, true)
+	r := NewRecorder(nil)
+	r.start(0, `evil<>&"job`, 60)
+	r.end(100, `evil<>&"job`, true)
 	var buf bytes.Buffer
 	if err := r.WriteSVG(&buf, 240); err != nil {
 		t.Fatal(err)
