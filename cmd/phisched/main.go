@@ -15,11 +15,11 @@
 // The observability flags (-events, -metrics, -series, -dashboard) attach
 // the internal/obs layer to the run and export its artifacts;
 // instrumentation never changes simulated outcomes. -eventlog (the condor
-// user log) and -trace/-svg (the offload timeline) read the same trace
-// event stream, retaining nothing else when they are all that was asked
-// for. -perfetto
-// exports causal job spans as a Chrome trace-event file for ui.perfetto.dev,
-// -critpath writes the critical-path makespan attribution, and
+// user log) and the job spans read the same trace event stream, retaining
+// nothing else when they are all that was asked for. The spans feed
+// -trace/-svg (the offload timeline), -perfetto (a Chrome trace-event file
+// for ui.perfetto.dev) and -critpath (the critical-path makespan
+// attribution), and
 // -stream-events traces arbitrarily large runs in bounded memory by
 // streaming JSONL during the run instead of retaining events.
 package main
@@ -101,32 +101,27 @@ func main() {
 		Jobs:           jobs,
 		Seed:           *seed,
 	}
-	// The offload timeline and the user log are consumers of the run's
-	// trace; when they are all that was asked for, the trace streams to
-	// them and retains nothing.
-	exports := *eventsOut != "" || *metricsOut != "" || *seriesOut != "" || *dashOut != "" ||
-		*perfetto != "" || *critpath != "" || *streamOut != ""
+	// The job spans and the user log are consumers of the run's trace;
+	// unless an export reads the retained trace, it streams to them and
+	// retains nothing.
+	retain := *eventsOut != "" || *metricsOut != "" || *seriesOut != "" || *dashOut != ""
+	wantSpans := *traceOut != "" || *svgOut != "" || *perfetto != "" || *critpath != ""
 	var o *obs.Observer
-	if exports || *traceOut != "" || *svgOut != "" || *eventlog != "" {
+	if retain || wantSpans || *eventlog != "" || *streamOut != "" {
 		o = obs.New()
 		o.SampleInterval = units.Tick(*sampleSec * float64(units.Second))
-		o.Trace.SetStreaming(!exports)
+		o.Trace.SetStreaming(!retain)
 		runCfg.Obs = o
-	}
-	var rec *trace.Recorder
-	if *traceOut != "" || *svgOut != "" {
-		rec = trace.NewRecorder(jobs)
-		o.Trace.AddConsumer(rec)
 	}
 	var elog *condor.EventLog
 	if *eventlog != "" {
 		elog = condor.NewEventLog()
 		o.Trace.AddConsumer(elog)
 	}
-	// Spans assemble from the live canonical stream, so -perfetto/-critpath
-	// work even when -stream-events drops the trace after emission.
+	// Spans assemble from the live canonical stream, so they work even
+	// when -stream-events drops the trace after emission.
 	var spanB *obs.SpanBuilder
-	if *perfetto != "" || *critpath != "" {
+	if wantSpans {
 		spanB = obs.NewSpanBuilder()
 		o.Trace.AddConsumer(spanB)
 	}
@@ -180,8 +175,9 @@ func main() {
 			return o.WriteDashboard(w, title)
 		})
 	}
+	var spans []*obs.Span
 	if spanB != nil {
-		spans := spanB.Spans()
+		spans = spanB.Spans()
 		writeArtifact(*perfetto, "Perfetto trace (JSON)", func(w io.Writer) error {
 			return obs.WriteChromeTrace(w, spans)
 		})
@@ -198,35 +194,15 @@ func main() {
 		writeArtifact(*eventlog, "condor event log (CSV)", elog.WriteCSV)
 	}
 
-	if rec != nil && *svgOut != "" {
-		f, err := os.Create(*svgOut)
-		if err != nil {
-			log.Fatalf("create %s: %v", *svgOut, err)
+	if *traceOut != "" || *svgOut != "" {
+		tl := trace.New(spans, jobs)
+		writeArtifact(*svgOut, "timeline SVG", func(w io.Writer) error { return tl.WriteSVG(w, 240) })
+		writeArtifact(*traceOut, fmt.Sprintf("%d offload intervals", tl.Len()), tl.WriteCSV)
+		if *traceOut != "" {
+			totalThreads := float64(*nodes * *devices * 240)
+			fmt.Printf("\ncluster thread occupancy over the run:\n[%s]\n",
+				trace.Sparkline(tl.Occupancy(64, res.Makespan), totalThreads))
 		}
-		if err := rec.WriteSVG(f, 240); err != nil {
-			log.Fatalf("write svg: %v", err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("wrote timeline SVG to %s", *svgOut)
-	}
-
-	if rec != nil && *traceOut != "" {
-		f, err := os.Create(*traceOut)
-		if err != nil {
-			log.Fatalf("create %s: %v", *traceOut, err)
-		}
-		if err := rec.WriteCSV(f); err != nil {
-			log.Fatalf("write trace: %v", err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("wrote %d offload intervals to %s", len(rec.Intervals()), *traceOut)
-		totalThreads := float64(*nodes * *devices * 240)
-		fmt.Printf("\ncluster thread occupancy over the run:\n[%s]\n",
-			trace.Sparkline(rec.Timeline(64, res.Makespan), totalThreads))
 	}
 
 	fmt.Printf("policy           %s\n", res.Policy)

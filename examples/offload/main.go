@@ -62,8 +62,8 @@ func main() {
 	}
 	eng := sim.New()
 	clu := cluster.New(eng, cluster.Config{Nodes: 1, UseCosmic: true, Seed: 1})
-	rec := trace.NewRecorder(insts)
-	clu.Units[0].Device.SetObserver(obs.Streaming(rec))
+	spans := obs.NewSpanBuilder()
+	clu.Units[0].Device.SetObserver(obs.Streaming(spans))
 
 	var makespan units.Tick
 	for _, inst := range insts {
@@ -76,7 +76,7 @@ func main() {
 	eng.Run()
 
 	fmt.Printf("\ntwo concurrent instances on one Xeon Phi:\n")
-	fmt.Print(rec.Render(72, 240))
+	fmt.Print(trace.New(spans.Spans(), insts).Render(72, 240))
 	fmt.Printf("makespan %.2f s (kernels overlap; DMA shares the 6 GB/s link)\n",
 		makespan.Seconds())
 }

@@ -317,12 +317,12 @@ func Fig10(o Options) Fig10Result {
 type Fig23Result struct {
 	// Maximal is the Fig. 2 case: two jobs whose offloads each use all 240
 	// threads; sharing interleaves host gaps but offloads serialize.
-	Maximal           *trace.Recorder
+	Maximal           *trace.Timeline
 	MaximalMakespan   units.Tick
 	MaximalSequential units.Tick
 	// Partial is the Fig. 3 case: two 120-thread jobs whose offloads
 	// overlap freely.
-	Partial           *trace.Recorder
+	Partial           *trace.Timeline
 	PartialMakespan   units.Tick
 	PartialSequential units.Tick
 }
@@ -343,19 +343,18 @@ func fig23Job(id int, name string, threads units.Threads, offloads int) *job.Job
 	return j
 }
 
-// Fig23 runs E8: each pair shares one COSMIC-managed device; the recorder
-// captures the resulting usage profile.
+// Fig23 runs E8: each pair shares one COSMIC-managed device; the device's
+// job spans give the resulting usage profile.
 func Fig23(o Options) Fig23Result {
 	o = o.Defaults()
-	run := func(threads units.Threads) (*trace.Recorder, units.Tick, units.Tick) {
+	run := func(threads units.Threads) (*trace.Timeline, units.Tick, units.Tick) {
 		eng := sim.New()
 		clu := cluster.New(eng, cluster.Config{Nodes: 1, UseCosmic: true, Seed: o.Seed})
-		j1 := fig23Job(1, "J1", threads, 2)
-		j2 := fig23Job(2, "J2", threads, 3)
-		rec := trace.NewRecorder([]*job.Job{j1, j2})
-		clu.Units[0].Device.SetObserver(obs.Streaming(rec))
+		jobs := []*job.Job{fig23Job(1, "J1", threads, 2), fig23Job(2, "J2", threads, 3)}
+		spans := obs.NewSpanBuilder()
+		clu.Units[0].Device.SetObserver(obs.Streaming(spans))
 		var makespan units.Tick
-		for _, j := range []*job.Job{j1, j2} {
+		for _, j := range jobs {
 			runner.Run(eng, clu.Units[0], j, func(runner.Result) {
 				if eng.Now() > makespan {
 					makespan = eng.Now()
@@ -363,7 +362,7 @@ func Fig23(o Options) Fig23Result {
 			})
 		}
 		eng.Run()
-		return rec, makespan, j1.SequentialTime() + j2.SequentialTime()
+		return trace.New(spans.Spans(), jobs), makespan, jobs[0].SequentialTime() + jobs[1].SequentialTime()
 	}
 	var out Fig23Result
 	out.Maximal, out.MaximalMakespan, out.MaximalSequential = run(240)

@@ -13,6 +13,7 @@ import (
 	"phishare/internal/faults"
 	"phishare/internal/job"
 	"phishare/internal/metrics"
+	"phishare/internal/obs"
 	"phishare/internal/rng"
 	"phishare/internal/sim"
 	"phishare/internal/units"
@@ -223,9 +224,17 @@ func TestFig23Shape(t *testing.T) {
 	if parSave <= maxSave {
 		t.Errorf("partial saving %.2f not better than maximal %.2f", parSave, maxSave)
 	}
-	// The maximal case must never oversubscribe: no overlapping intervals
+	// The maximal case must never oversubscribe: no overlapping offloads
 	// with combined threads > 240.
-	ivs := r.Maximal.Intervals()
+	var ivs []obs.Offload
+	for _, s := range r.Maximal.Spans {
+		for _, a := range s.Attempts {
+			ivs = append(ivs, a.Offloads...)
+		}
+	}
+	if len(ivs) != 5 {
+		t.Fatalf("maximal case has %d offloads, want 2+3", len(ivs))
+	}
 	for i := range ivs {
 		for j := i + 1; j < len(ivs); j++ {
 			if ivs[i].End > ivs[j].Start && ivs[j].End > ivs[i].Start &&
@@ -665,7 +674,7 @@ func runPriorityBands(cfg RunConfig) eqOutcome {
 	})
 	pool := condor.NewPool(eng, clu, cfg.buildPolicy(), cfg.Condor)
 	if cfg.Chaos != nil {
-		cfg.Chaos.Wire(eng, clu, pool)
+		cfg.Chaos.Wire(eng, clu, pool, len(cfg.Jobs))
 	}
 	var bands [3][]*job.Job
 	for i, j := range cfg.Jobs {

@@ -94,8 +94,9 @@ type RunConfig struct {
 	// Obs, if non-nil, attaches the observability layer to every component
 	// (pool, policy, devices, COSMIC managers) and runs the time-series
 	// sampler for the whole simulation. Its trace is the run's one lifecycle
-	// stream: register a condor.EventLog (the user log) or a trace.Recorder
-	// (offload intervals) on it with Trace.AddConsumer. Outcome-neutral by
+	// stream: register a condor.EventLog (the user log) or an
+	// obs.SpanBuilder (job spans, whose offloads trace.New draws as the
+	// offload timeline) on it with Trace.AddConsumer. Outcome-neutral by
 	// construction; TestObservabilityPreservesOutcomes proves it.
 	Obs *obs.Observer
 	// Chaos, if non-nil, wires the fault-injection and invariant layer into
@@ -207,13 +208,15 @@ func Run(cfg RunConfig) Result {
 	if cfg.Obs != nil {
 		wireObservability(cfg.Obs, eng, pool, pol, clu)
 	}
-	if cfg.Chaos != nil {
-		cfg.Chaos.Obs = cfg.Obs
-		cfg.Chaos.Wire(eng, clu, pool)
-	}
 	jobCount := len(cfg.Jobs)
 	if cfg.Source != nil {
 		jobCount = cfg.Source.Len()
+	}
+	if cfg.Chaos != nil {
+		cfg.Chaos.Obs = cfg.Obs
+		cfg.Chaos.Wire(eng, clu, pool, jobCount)
+	}
+	if cfg.Source != nil {
 		startPump(eng, pool, cfg.Source)
 	} else {
 		pool.Submit(cfg.Jobs)

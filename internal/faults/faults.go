@@ -177,6 +177,8 @@ type Injector struct {
 	clu  *cluster.Cluster
 	pool *condor.Pool
 	o    *obs.Observer
+	// total is the number of jobs the run submits over its whole life.
+	total int
 
 	root    *rng.Source
 	negRand *rng.Source
@@ -186,11 +188,12 @@ type Injector struct {
 	machineOf map[*cluster.DeviceUnit]*condor.Machine
 }
 
-// NewInjector builds an injector over a freshly assembled stack. seed is
-// decoupled from the run's own randomness by forking a dedicated stream, so
-// enabling faults never perturbs workload or policy draws directly (only
-// through the faults themselves). o may be nil.
-func NewInjector(eng *sim.Engine, clu *cluster.Cluster, pool *condor.Pool, prof Profile, seed int64, o *obs.Observer) *Injector {
+// NewInjector builds an injector over a freshly assembled stack whose run
+// submits total jobs in all; fault generation stops once every one of them
+// is terminal. seed is decoupled from the run's own randomness by forking a
+// dedicated stream, so enabling faults never perturbs workload or policy
+// draws directly (only through the faults themselves). o may be nil.
+func NewInjector(eng *sim.Engine, clu *cluster.Cluster, pool *condor.Pool, total int, prof Profile, seed int64, o *obs.Observer) *Injector {
 	root := rng.New(seed).Fork("faults")
 	inj := &Injector{
 		prof:      prof.withDefaults(),
@@ -198,6 +201,7 @@ func NewInjector(eng *sim.Engine, clu *cluster.Cluster, pool *condor.Pool, prof 
 		clu:       clu,
 		pool:      pool,
 		o:         o,
+		total:     total,
 		root:      root,
 		negRand:   root.Fork("negotiation"),
 		machineOf: map[*cluster.DeviceUnit]*condor.Machine{},
@@ -235,14 +239,19 @@ func (inj *Injector) Start() {
 	}
 }
 
-// expired reports whether fault generation should stop: every job terminal,
-// or past the profile horizon.
+// expired reports whether fault generation should stop: every job of the
+// run terminal, or past the profile horizon.
 func (inj *Injector) expired() bool {
-	if inj.pool.Done() {
+	if inj.allTerminal() {
 		return true
 	}
 	return inj.prof.Horizon > 0 && inj.eng.Now() >= inj.prof.Horizon
 }
+
+// allTerminal reports whether every job the run will ever submit has
+// reached a terminal state. pool.Done alone is not enough: a streamed pool
+// is "done" whenever it drains between arrivals.
+func (inj *Injector) allTerminal() bool { return inj.pool.Terminal() >= inj.total }
 
 // next draws the interval to the next event of an MTBF process, always at
 // least one tick so a tiny mean cannot wedge the engine at one instant.
@@ -388,7 +397,7 @@ func (inj *Injector) TriggerDelay() units.Tick {
 // delay. Independent draws, so a run cannot restart forever; once every job
 // is terminal the fault stops firing so the engine can drain.
 func (inj *Injector) CycleRestart() (units.Tick, bool) {
-	if inj.prof.NegotiationRestartProb <= 0 || inj.pool.Done() {
+	if inj.prof.NegotiationRestartProb <= 0 || inj.allTerminal() {
 		return 0, false
 	}
 	if inj.negRand.Float64() >= inj.prof.NegotiationRestartProb {

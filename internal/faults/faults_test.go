@@ -63,7 +63,7 @@ func TestScriptedDeviceFailureLifecycle(t *testing.T) {
 	log := condor.NewEventLog()
 	h.Obs = obs.Streaming(log)
 	r.pool.SetObserver(h.Obs)
-	h.Wire(r.eng, r.clu, r.pool)
+	h.Wire(r.eng, r.clu, r.pool, 1)
 	r.pool.Submit([]*job.Job{mkJob(0, 500, 60, 20*units.Second)})
 	r.eng.Run()
 
@@ -130,7 +130,7 @@ func TestMTBFInjectionRunsClean(t *testing.T) {
 		Seed:  7,
 		Check: true,
 	}
-	h.Wire(r.eng, r.clu, r.pool)
+	h.Wire(r.eng, r.clu, r.pool, 6)
 	var jobs []*job.Job
 	for i := 0; i < 6; i++ {
 		jobs = append(jobs, mkJob(i, 500, 60, 10*units.Second))
@@ -151,6 +151,47 @@ func TestMTBFInjectionRunsClean(t *testing.T) {
 	if s.Repairs != s.DeviceFailures {
 		t.Errorf("repairs %d != failures %d (a repair chain was dropped)",
 			s.Repairs, s.DeviceFailures)
+	}
+}
+
+// TestFaultsOutliveAnIdlePool: a streamed run's pool drains between
+// arrivals, but its fault processes must keep firing until every job of
+// the run is terminal. Job 0 finishes long before job 1 arrives; device
+// failures must still hit the run after the idle gap.
+func TestFaultsOutliveAnIdlePool(t *testing.T) {
+	r := newRig(1, 50)
+	h := &Harness{
+		Profile: Profile{
+			Name:         "idle-gap",
+			DeviceMTBF:   10 * units.Second,
+			DeviceRepair: units.Second,
+		},
+		Seed:  3,
+		Check: true,
+	}
+	h.Wire(r.eng, r.clu, r.pool, 2)
+	r.pool.Submit([]*job.Job{mkJob(0, 500, 60, units.Second)})
+	const arrival = 100 * units.Second
+	var beforeArrival Stats
+	r.eng.After(arrival, func() {
+		if !r.pool.Done() {
+			t.Fatal("job 0 still running at job 1's arrival: no idle gap")
+		}
+		beforeArrival = h.InjectorStats()
+		r.pool.Submit([]*job.Job{mkJob(1, 500, 60, 50*units.Second)})
+	})
+	r.eng.Run()
+
+	if !r.pool.Done() {
+		t.Fatal("pool not done after engine drained")
+	}
+	if v := h.Finish(); len(v) != 0 {
+		t.Fatalf("invariant violations:\n%v", v)
+	}
+	after := h.InjectorStats().DeviceFailures - beforeArrival.DeviceFailures
+	if after == 0 {
+		t.Errorf("no device failure after the idle gap (%d before it): fault processes stopped when the pool first drained",
+			beforeArrival.DeviceFailures)
 	}
 }
 
@@ -181,7 +222,7 @@ func TestCheckerCatchesCorruption(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			r := newRig(1, 0)
 			h := &Harness{Check: true}
-			h.Wire(r.eng, r.clu, r.pool)
+			h.Wire(r.eng, r.clu, r.pool, 1)
 			r.eng.After(tc.at, func() { tc.corrupt(r.pool) })
 			r.pool.Submit([]*job.Job{mkJob(0, 500, 60, 5*units.Second)})
 			r.eng.Run()
@@ -232,7 +273,7 @@ func TestProfilePresets(t *testing.T) {
 func TestZeroHarnessWiresNothing(t *testing.T) {
 	r := newRig(1, 0)
 	h := &Harness{}
-	h.Wire(r.eng, r.clu, r.pool)
+	h.Wire(r.eng, r.clu, r.pool, 0)
 	if r.eng.AfterStep != nil {
 		t.Error("zero harness installed an AfterStep hook")
 	}

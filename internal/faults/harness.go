@@ -29,13 +29,15 @@ type Harness struct {
 }
 
 // Wire installs the harness on a freshly assembled stack, before job
-// submission. With Check set it attaches the checker to eng.AfterStep,
-// registers it on the run's trace and chains the pool's OnTerminal for the
-// per-job lifecycle checks; a run without an observer gets one in streaming
-// mode, attached to the pool alone, so nothing is retained. With an enabled
-// Profile it builds and starts the Injector. All of the checker's additions
-// are outcome-neutral; only the injected faults themselves perturb the run.
-func (h *Harness) Wire(eng *sim.Engine, clu *cluster.Cluster, pool *condor.Pool) {
+// submission; total is the number of jobs the run submits in all (a
+// streamed run's whole source, not what is queued at any one time). With
+// Check set it attaches the checker to eng.AfterStep, registers it on the
+// run's trace and chains the pool's OnTerminal for the per-job lifecycle
+// checks; a run without an observer gets one in streaming mode, attached
+// to the pool alone, so nothing is retained. With an enabled Profile it
+// builds and starts the Injector. All of the checker's additions are
+// outcome-neutral; only the injected faults themselves perturb the run.
+func (h *Harness) Wire(eng *sim.Engine, clu *cluster.Cluster, pool *condor.Pool, total int) {
 	if h.Check {
 		h.chk = NewChecker(eng, clu, pool)
 		if h.Obs != nil {
@@ -53,7 +55,7 @@ func (h *Harness) Wire(eng *sim.Engine, clu *cluster.Cluster, pool *condor.Pool)
 		}
 	}
 	if h.Profile.Enabled() {
-		h.inj = NewInjector(eng, clu, pool, h.Profile, h.Seed, h.Obs)
+		h.inj = NewInjector(eng, clu, pool, total, h.Profile, h.Seed, h.Obs)
 		h.inj.Start()
 	}
 }

@@ -20,6 +20,7 @@ import (
 // Offload is one coprocessor occupancy interval within an attempt.
 type Offload struct {
 	Device    string     // slot name, e.g. "slot1@node3"
+	Seq       int64      // ordinal of its offload_start among the stream's offload starts
 	Start     units.Tick // device occupancy start (after any COSMIC queueing)
 	End       units.Tick // occupancy end (completion or abort)
 	Threads   int64
@@ -29,7 +30,9 @@ type Offload struct {
 }
 
 // Attempt is one match→execution of a job on a machine. A crashed attempt
-// ends at the crash; a resubmit opens a new attempt on the next match.
+// ends at the crash; a resubmit opens a new attempt on the next match. An
+// offload of a job with no open attempt (a device driven without condor)
+// opens an attempt of its own, matched and executing at the offload's start.
 type Attempt struct {
 	Machine         string
 	Match           units.Tick
@@ -78,6 +81,8 @@ type SpanBuilder struct {
 	// crashQ queues crash-failed job ids awaiting the no-resubmit proof
 	// above, in crash order. Entries whose span reopened are dropped lazily.
 	crashQ []int64
+	// seq counts the offload starts seen so far (the next Offload.Seq).
+	seq int64
 }
 
 // NewSpanBuilder returns an empty builder.
@@ -248,20 +253,24 @@ func (b *SpanBuilder) Consume(e Event) {
 	case LayerPhi:
 		switch e.Kind {
 		case "offload_start":
-			a := b.span(jobID, e.At).cur()
+			s := b.span(jobID, e.At)
+			a := s.cur()
 			if a == nil {
-				return
+				a = &Attempt{Match: e.At, Execute: e.At, End: -1, Open: true}
+				s.Attempts = append(s.Attempts, a)
 			}
 			threads, _ := fieldInt(e, "threads")
 			wait := b.pendingWait[jobID]
 			delete(b.pendingWait, jobID)
 			a.Offloads = append(a.Offloads, Offload{
 				Device: fieldString(e, "device"),
+				Seq:    b.seq,
 				Start:  e.At, End: -1,
 				Threads:   threads,
 				QueueWait: wait,
 				Open:      true,
 			})
+			b.seq++
 		case "offload_end":
 			a := b.span(jobID, e.At).cur()
 			if a == nil {

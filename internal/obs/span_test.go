@@ -132,6 +132,49 @@ func TestSpanBuilderStreaming(t *testing.T) {
 	}
 }
 
+// TestDeviceOnlyOffloads: offloads of a device driven without condor (no
+// match) land in an attempt of the job's own, carrying their stream
+// ordinals so same-tick starts keep event order.
+func TestDeviceOnlyOffloads(t *testing.T) {
+	tr := NewTrace()
+	e := tr.Emit
+	e(100, LayerPhi, "offload_start", F("device", "mic0"), F("job", 2), F("threads", units.Threads(120)))
+	e(100, LayerPhi, "offload_start", F("device", "mic0"), F("job", 1), F("threads", units.Threads(60)))
+	e(300, LayerPhi, "offload_end", F("device", "mic0"), F("job", 2), F("completed", true))
+	e(400, LayerPhi, "offload_start", F("device", "mic0"), F("job", 2), F("threads", units.Threads(120)))
+	e(500, LayerPhi, "offload_end", F("device", "mic0"), F("job", 1), F("completed", false))
+	e(600, LayerPhi, "offload_end", F("device", "mic0"), F("job", 2), F("completed", true))
+
+	spans := SpansFromTrace(tr)
+	if len(spans) != 2 {
+		t.Fatalf("got %d spans, want 2", len(spans))
+	}
+	want := map[int64][]Offload{
+		1: {{Device: "mic0", Seq: 1, Start: 100, End: 500, Threads: 60}},
+		2: {
+			{Device: "mic0", Seq: 0, Start: 100, End: 300, Threads: 120, Completed: true},
+			{Device: "mic0", Seq: 2, Start: 400, End: 600, Threads: 120, Completed: true},
+		},
+	}
+	for _, s := range spans {
+		if len(s.Attempts) != 1 {
+			t.Fatalf("job %d: %d attempts, want 1", s.Job, len(s.Attempts))
+		}
+		a := s.Attempts[0]
+		if !a.Open || a.Match != 100 || a.Execute != 100 {
+			t.Errorf("job %d attempt: %+v, want open, matched and executing at its first offload", s.Job, *a)
+		}
+		if len(a.Offloads) != len(want[s.Job]) {
+			t.Fatalf("job %d offloads %+v, want %+v", s.Job, a.Offloads, want[s.Job])
+		}
+		for i, o := range a.Offloads {
+			if o != want[s.Job][i] {
+				t.Errorf("job %d offload %d = %+v, want %+v", s.Job, i, o, want[s.Job][i])
+			}
+		}
+	}
+}
+
 func TestCriticalPath(t *testing.T) {
 	spans := SpansFromTrace(traceFixture())
 	cp := AnalyzeCriticalPath(spans)

@@ -3,17 +3,16 @@ package trace
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 
 	"phishare/internal/units"
 )
 
-// WriteSVG renders the recorded offload intervals as a self-contained SVG
-// Gantt chart: one row per job, a bar per offload, bar height proportional
-// to thread width. The visual analogue of the paper's Figs. 2–3, viewable
-// in any browser.
-func (r *Recorder) WriteSVG(w io.Writer, hwThreads units.Threads) error {
+// WriteSVG renders the offload intervals as a self-contained SVG Gantt
+// chart: one row per job, a bar per offload, bar height proportional to
+// thread width. The visual analogue of the paper's Figs. 2–3, viewable in
+// any browser.
+func (t *Timeline) WriteSVG(w io.Writer, hwThreads units.Threads) error {
 	const (
 		width     = 900
 		rowHeight = 28
@@ -22,13 +21,13 @@ func (r *Recorder) WriteSVG(w io.Writer, hwThreads units.Threads) error {
 		topPad    = 30
 		bottomPad = 30
 	)
-	jobs := r.Jobs()
+	jobs := t.jobs()
 	// The axis must cover open intervals too: a snapshot mid-run has bars
 	// with no end yet, which render to the right edge of the chart.
-	end := r.End()
-	for _, iv := range r.intervals {
-		if iv.Open() && iv.Start > end {
-			end = iv.Start
+	end := t.end()
+	for _, o := range t.offloads {
+		if o.Open && o.Start > end {
+			end = o.Start
 		}
 	}
 	if len(jobs) == 0 {
@@ -59,12 +58,11 @@ func (r *Recorder) WriteSVG(w io.Writer, hwThreads units.Threads) error {
 			leftPad, y+barMax, width-10, y+barMax)
 	}
 
-	// Bars, deterministic order.
-	ivs := r.Intervals()
-	sort.SliceStable(ivs, func(i, j int) bool { return ivs[i].Start < ivs[j].Start })
-	for _, iv := range ivs {
-		row := rows[iv.Job]
-		frac := float64(iv.Threads) / float64(hwThreads)
+	// Bars, in start order.
+	for _, o := range t.offloads {
+		row := rows[o.job]
+		threads := units.Threads(o.Threads)
+		frac := float64(threads) / float64(hwThreads)
 		if frac > 1 {
 			frac = 1
 		}
@@ -72,9 +70,9 @@ func (r *Recorder) WriteSVG(w io.Writer, hwThreads units.Threads) error {
 		if h < 3 {
 			h = 3
 		}
-		x := leftPad + int(float64(iv.Start)*scale)
+		x := leftPad + int(float64(o.Start)*scale)
 		y := topPad + row*rowHeight + (barMax - h)
-		if iv.Open() {
+		if o.Open {
 			// Still-running offload: bar runs to the chart edge, drawn
 			// half-transparent with a dashed outline so a mid-run snapshot
 			// is visually distinct from a closed bar.
@@ -84,20 +82,20 @@ func (r *Recorder) WriteSVG(w io.Writer, hwThreads units.Threads) error {
 			}
 			fmt.Fprintf(&sb,
 				`<rect x="%d" y="%d" width="%d" height="%d" fill="%s" fill-opacity="0.45" stroke="%s" stroke-dasharray="4,3"><title>%s: %v threads, started %.2fs (still running)</title></rect>`+"\n",
-				x, y, bw, h, colorFor(row), colorFor(row), escapeXML(iv.Job), iv.Threads, iv.Start.Seconds())
+				x, y, bw, h, colorFor(row), colorFor(row), escapeXML(o.job), threads, o.Start.Seconds())
 			continue
 		}
-		bw := int(float64(iv.Duration()) * scale)
+		bw := int(float64(o.End-o.Start) * scale)
 		if bw < 1 {
 			bw = 1
 		}
 		fill := colorFor(row)
-		if !iv.Completed {
+		if !o.Completed {
 			fill = "#d62728" // aborted offloads in red
 		}
 		fmt.Fprintf(&sb,
 			`<rect x="%d" y="%d" width="%d" height="%d" fill="%s"><title>%s: %v threads, %.2fs-%.2fs</title></rect>`+"\n",
-			x, y, bw, h, fill, escapeXML(iv.Job), iv.Threads, iv.Start.Seconds(), iv.End.Seconds())
+			x, y, bw, h, fill, escapeXML(o.job), threads, o.Start.Seconds(), o.End.Seconds())
 	}
 
 	// Time axis.

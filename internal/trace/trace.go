@@ -1,7 +1,8 @@
-// Package trace records device offload activity and renders the coprocessor
-// usage profiles of the paper's Figs. 2–3: per-job timelines showing when
-// each job occupies the Xeon Phi, how wide its offloads are, and how
-// concurrent jobs interleave.
+// Package trace renders the coprocessor usage profiles of the paper's
+// Figs. 2–3: per-job timelines showing when each job occupies the Xeon Phi,
+// how wide its offloads are, and how concurrent jobs interleave. It draws
+// the offloads of obs job spans; obs.SpanBuilder is what pairs the phi
+// layer's offload_start/offload_end events into those intervals.
 package trace
 
 import (
@@ -17,147 +18,99 @@ import (
 	"phishare/internal/units"
 )
 
-// Interval is one offload's occupancy of a device.
-type Interval struct {
-	Job       string
-	Start     units.Tick
-	End       units.Tick // -1 while still running
-	Threads   units.Threads
-	Completed bool
+// Timeline is the offload activity of a set of job spans, one row per job.
+type Timeline struct {
+	// Spans are the job spans the timeline draws.
+	Spans []*obs.Span
+	// offloads holds every span offload, named after its job, in stream
+	// order (Offload.Seq). The stream is time-ordered, so this is also
+	// start order, with same-tick starts in event order.
+	offloads []offload
 }
 
-// Duration of the interval; zero for still-open intervals.
-func (iv Interval) Duration() units.Tick {
-	if iv.End < iv.Start {
-		return 0
+type offload struct {
+	job string
+	obs.Offload
+}
+
+// New returns the timeline of spans. Spans identify jobs by ID; the
+// timeline names them from jobs, and panics on an offload of a job outside
+// that set.
+func New(spans []*obs.Span, jobs []*job.Job) *Timeline {
+	names := make(map[int64]string, len(jobs))
+	for _, j := range jobs {
+		names[int64(j.ID)] = j.Name
 	}
-	return iv.End - iv.Start
+	t := &Timeline{Spans: spans}
+	for _, s := range spans {
+		for _, a := range s.Attempts {
+			for _, o := range a.Offloads {
+				name, ok := names[s.Job]
+				if !ok {
+					panic(fmt.Sprintf("trace: offload of job %d, which is not in the timeline's job set", s.Job))
+				}
+				t.offloads = append(t.offloads, offload{name, o})
+			}
+		}
+	}
+	sort.Slice(t.offloads, func(i, j int) bool { return t.offloads[i].Seq < t.offloads[j].Seq })
+	return t
 }
 
-// Open reports whether the offload is still running (no end recorded).
-func (iv Interval) Open() bool { return iv.End < 0 }
+// Len is the number of offload intervals.
+func (t *Timeline) Len() int { return len(t.offloads) }
 
-// State labels the interval: "running" while open, then "completed" or
+// state labels an offload: "running" while open, then "completed" or
 // "aborted". This is the explicit open-end marker in the CSV export —
 // consumers should not have to know that End == -1 means in flight.
-func (iv Interval) State() string {
+func state(o obs.Offload) string {
 	switch {
-	case iv.Open():
+	case o.Open:
 		return "running"
-	case iv.Completed:
+	case o.Completed:
 		return "completed"
 	}
 	return "aborted"
 }
 
-// Recorder collects offload intervals. It is an obs.EventSink: register it
-// on the trace of the devices it should watch (one recorder can serve a
-// whole cluster) and it keeps the phi layer's offload_start/offload_end
-// events. Events name jobs by ID; the recorder names them from the job set
-// it was built with.
-type Recorder struct {
-	names     map[int]string
-	intervals []Interval
-	open      map[string]int // job name -> index of open interval
-}
-
-// NewRecorder returns an empty recorder for offloads of jobs.
-func NewRecorder(jobs []*job.Job) *Recorder {
-	r := &Recorder{names: make(map[int]string, len(jobs)), open: map[string]int{}}
-	for _, j := range jobs {
-		r.names[j.ID] = j.Name
-	}
-	return r
-}
-
-// Consume implements obs.EventSink.
-func (r *Recorder) Consume(e obs.Event) {
-	if e.Layer != obs.LayerPhi || (e.Kind != "offload_start" && e.Kind != "offload_end") {
-		return
-	}
-	id, _ := e.Field("job").(int)
-	name, ok := r.names[id]
-	if !ok {
-		panic(fmt.Sprintf("trace: offload of job %d, which is not in the recorder's job set", id))
-	}
-	if e.Kind == "offload_start" {
-		threads, _ := e.Field("threads").(units.Threads)
-		r.start(e.At, name, threads)
-		return
-	}
-	completed, _ := e.Field("completed").(bool)
-	r.end(e.At, name, completed)
-}
-
-// start opens an interval when a kernel begins occupying threads.
-func (r *Recorder) start(now units.Tick, jobName string, threads units.Threads) {
-	if _, dup := r.open[jobName]; dup {
-		panic("trace: overlapping offloads for job " + jobName)
-	}
-	r.open[jobName] = len(r.intervals)
-	r.intervals = append(r.intervals, Interval{
-		Job: jobName, Start: now, End: -1, Threads: threads,
-	})
-}
-
-// end closes a job's open interval when its kernel completes
-// (completed=true) or its process dies mid-offload (completed=false).
-func (r *Recorder) end(now units.Tick, jobName string, completed bool) {
-	idx, ok := r.open[jobName]
-	if !ok {
-		panic("trace: offload end without start for job " + jobName)
-	}
-	delete(r.open, jobName)
-	r.intervals[idx].End = now
-	r.intervals[idx].Completed = completed
-}
-
-// Intervals returns the recorded intervals in start order.
-func (r *Recorder) Intervals() []Interval {
-	out := make([]Interval, len(r.intervals))
-	copy(out, r.intervals)
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Start < out[j].Start })
-	return out
-}
-
-// Jobs returns the distinct job names in first-appearance order.
-func (r *Recorder) Jobs() []string {
+// jobs returns the distinct job names in first-offload order.
+func (t *Timeline) jobs() []string {
 	seen := map[string]bool{}
 	var names []string
-	for _, iv := range r.intervals {
-		if !seen[iv.Job] {
-			seen[iv.Job] = true
-			names = append(names, iv.Job)
+	for _, o := range t.offloads {
+		if !seen[o.job] {
+			seen[o.job] = true
+			names = append(names, o.job)
 		}
 	}
 	return names
 }
 
-// End returns the latest interval end (0 if none closed).
-func (r *Recorder) End() units.Tick {
+// end returns the latest offload end (0 if none closed).
+func (t *Timeline) end() units.Tick {
 	var end units.Tick
-	for _, iv := range r.intervals {
-		if iv.End > end {
-			end = iv.End
+	for _, o := range t.offloads {
+		if o.End > end {
+			end = o.End
 		}
 	}
 	return end
 }
 
 // WriteCSV emits the intervals as CSV with a header row.
-func (r *Recorder) WriteCSV(w io.Writer) error {
+func (t *Timeline) WriteCSV(w io.Writer) error {
 	cw := csv.NewWriter(w)
 	if err := cw.Write([]string{"job", "start_ms", "end_ms", "threads", "completed", "state"}); err != nil {
 		return err
 	}
-	for _, iv := range r.Intervals() {
+	for _, o := range t.offloads {
 		rec := []string{
-			iv.Job,
-			strconv.FormatInt(int64(iv.Start), 10),
-			strconv.FormatInt(int64(iv.End), 10),
-			strconv.Itoa(int(iv.Threads)),
-			strconv.FormatBool(iv.Completed),
-			iv.State(),
+			o.job,
+			strconv.FormatInt(int64(o.Start), 10),
+			strconv.FormatInt(int64(o.End), 10),
+			strconv.FormatInt(o.Threads, 10),
+			strconv.FormatBool(o.Completed),
+			state(o.Offload),
 		}
 		if err := cw.Write(rec); err != nil {
 			return err
@@ -171,31 +124,31 @@ func (r *Recorder) WriteCSV(w io.Writer) error {
 // job, '#' where the job's offload occupies the device (full width),
 // '=' for partial-width offloads, '.' where the job exists but runs on the
 // host. width is the number of character cells.
-func (r *Recorder) Render(width int, hwThreads units.Threads) string {
+func (t *Timeline) Render(width int, hwThreads units.Threads) string {
 	if width <= 0 {
 		width = 80
 	}
-	end := r.End()
+	end := t.end()
 	if end == 0 {
 		return "(no offload activity)\n"
 	}
 	var sb strings.Builder
 	cell := float64(end) / float64(width)
-	for _, jobName := range r.Jobs() {
+	for _, jobName := range t.jobs() {
 		row := make([]byte, width)
 		for i := range row {
 			row[i] = '.'
 		}
-		for _, iv := range r.intervals {
-			if iv.Job != jobName || iv.End < 0 {
+		for _, o := range t.offloads {
+			if o.job != jobName || o.Open {
 				continue
 			}
 			mark := byte('=')
-			if iv.Threads*2 > hwThreads {
+			if units.Threads(o.Threads)*2 > hwThreads {
 				mark = '#'
 			}
-			from := int(float64(iv.Start) / cell)
-			to := int(float64(iv.End) / cell)
+			from := int(float64(o.Start) / cell)
+			to := int(float64(o.End) / cell)
 			if to >= width {
 				to = width - 1
 			}
@@ -210,20 +163,20 @@ func (r *Recorder) Render(width int, hwThreads units.Threads) string {
 	return sb.String()
 }
 
-// Timeline bins average occupied threads over [0, end) into n buckets.
+// Occupancy bins average occupied threads over [0, end) into n buckets.
 // Open intervals are ignored. Useful for rendering cluster activity over a
 // run (see Sparkline).
-func (r *Recorder) Timeline(n int, end units.Tick) []float64 {
+func (t *Timeline) Occupancy(n int, end units.Tick) []float64 {
 	if n <= 0 || end <= 0 {
 		return nil
 	}
 	out := make([]float64, n)
 	width := float64(end) / float64(n)
-	for _, iv := range r.intervals {
-		if iv.End < iv.Start {
+	for _, o := range t.offloads {
+		if o.Open {
 			continue
 		}
-		lo, hi := float64(iv.Start), float64(iv.End)
+		lo, hi := float64(o.Start), float64(o.End)
 		if hi > float64(end) {
 			hi = float64(end)
 		}
@@ -234,27 +187,13 @@ func (r *Recorder) Timeline(n int, end units.Tick) []float64 {
 		}
 		for b := first; b <= last; b++ {
 			bLo, bHi := float64(b)*width, float64(b+1)*width
-			overlap := min64(hi, bHi) - max64(lo, bLo)
+			overlap := min(hi, bHi) - max(lo, bLo)
 			if overlap > 0 {
-				out[b] += float64(iv.Threads) * overlap / width
+				out[b] += float64(o.Threads) * overlap / width
 			}
 		}
 	}
 	return out
-}
-
-func min64(a, b float64) float64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max64(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Sparkline renders values as a Unicode bar chart scaled to max (values
